@@ -245,6 +245,8 @@ def load_checkpoint(path) -> Checkpoint:
         return vals
 
     version, count = take("<I")[0], take("<I")[0]
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     ckpt = Checkpoint(version=version, params={}, stage_tag="")
     for _ in range(count):
         (name_len,) = take("<H")

@@ -40,6 +40,10 @@ class HeadConfig:
         self.roi_out = tuple(self.roi_out)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 0.0 <= self.fg_fraction <= 1.0:
+            raise ValueError(f"fg_fraction must lie in [0, 1], got {self.fg_fraction}")
+        if not 0.0 < self.fg_iou <= 1.0:
+            raise ValueError(f"fg_iou must lie in (0, 1], got {self.fg_iou}")
 
     @property
     def background(self) -> int:
@@ -165,7 +169,8 @@ def head_targets(proposals: list, level_pseudo_box: Box, image_label: int,
     """
     whole = len(proposals)
     rois = list(proposals) + [whole_image_box(image_size)]
-    ious = np.array([rpn.iou(r, level_pseudo_box) for r in rois])
+    ious = rpn.iou_matrix([(r.x_min, r.y_min, r.x_max, r.y_max) for r in rois],
+                          level_pseudo_box.as_array()[None])[:, 0]
     fg = ious >= config.fg_iou
 
     fg_idx = np.flatnonzero(fg[:whole])

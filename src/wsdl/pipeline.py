@@ -3,8 +3,8 @@
 Training runs three stages in order:
 
 1. the classification network (backbone + cam head) on image-level labels;
-2. the region proposal network, its convolutional stages cloned from stage 1
-   and then fine-tuned end to end against the attention pseudo boxes;
+2. the region proposal network over convolutional stages cloned from stage 1
+   and kept frozen, trained against the attention pseudo boxes;
 3. one localization head per attention level, trained on frozen proposals
    and frozen shared features against that level's pseudo boxes.
 

@@ -255,18 +255,35 @@ def rpn_loss(obj_probs: Tensor, deltas: Tensor, batch: AnchorBatch,
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
-    """Greedy suppression; keeps indices in score-descending order, ties to the lower index."""
+    """Greedy suppression; keeps indices in score-descending order, ties to the lower index.
+
+    A box is kept unless a kept box of higher rank overlaps it with IoU above
+    ``iou_thresh``. All pairwise overlaps come from one ``iou_matrix`` call
+    over the score-sorted boxes, whose float64 arithmetic matches ``iou``
+    operation for operation, so the kept set is the pairwise one exactly.
+    Boxes must be finite with positive extent, as ``Box`` requires.
+    """
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if len(boxes) != len(scores):
         raise ValueError(f"nms needs matching lists, got {len(boxes)} boxes, {len(scores)} scores")
+    if len(boxes) == 0:
+        return []
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise ValueError(f"nms needs [N,4] boxes, got shape {boxes.shape}")
+    finite = np.isfinite(boxes).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"box coordinates must be finite: {boxes[~finite][0].tolist()}")
+    flat = (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+    if flat.any():
+        raise ValueError(f"box must have positive extent: {boxes[flat][0].tolist()}")
     order = np.argsort(-scores, kind="stable")
-    kept = []
-    for i in order:
-        box_i = Box(*boxes[i])
-        if all(iou(box_i, Box(*boxes[j])) <= iou_thresh for j in kept):
-            kept.append(int(i))
-    return kept
+    overlaps = iou_matrix(boxes[order], boxes[order]) > iou_thresh
+    keep = np.ones(len(order), dtype=bool)
+    for i in range(len(order)):
+        if keep[i]:
+            keep[i + 1:] &= ~overlaps[i, i + 1:]
+    return order[keep].tolist()
 
 
 def propose(obj_probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,19 @@ def test_checkpoint_magic_and_truncation_errors(tmp_path):
     trunc.write_bytes(good.read_bytes()[:-3])
     with pytest.raises(ValueError, match="truncated"):
         bb.load_checkpoint(trunc)
+
+
+def test_checkpoint_version_mismatch_rejected(tmp_path):
+    ckpt = bb.Checkpoint(params={"w": np.ones((2, 2), dtype=np.float32)}, stage_tag="x")
+    good = tmp_path / "good.ckpt"
+    bb.save_checkpoint(ckpt, good)
+    raw = bytearray(good.read_bytes())
+    raw[4:8] = struct.pack("<I", bb.CHECKPOINT_VERSION + 1)
+    newer = tmp_path / "newer.ckpt"
+    newer.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{re.escape(str(newer))}: checkpoint version {bb.CHECKPOINT_VERSION + 1}"):
+        bb.load_checkpoint(newer)
+    assert bb.load_checkpoint(good).version == bb.CHECKPOINT_VERSION
 
 
 def test_clone_shared_weights_equality(cfg, params):

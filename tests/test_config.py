@@ -71,3 +71,13 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs_rpn=0)
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("fg_fraction", "3.0"), ("fg_fraction", "-0.5"), ("fg_iou", "0.0"), ("fg_iou", "2.0"),
+])
+def test_sync_derived_rejects_bad_head_fractions(key, raw):
+    cfg = RunConfig.default()
+    cfg.set_key(key, raw)
+    with pytest.raises(ValueError, match=key):
+        cfg.sync_derived()

@@ -15,6 +15,19 @@ def cfg():
     return heads.HeadConfig(num_classes=4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"fg_fraction": 3.0}, {"fg_fraction": -0.1}, {"fg_iou": 0.0}, {"fg_iou": 1.5},
+])
+def test_config_rejects_out_of_range_fractions(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        heads.HeadConfig(**kwargs)
+
+
+def test_config_accepts_range_ends():
+    heads.HeadConfig(fg_fraction=0.0, fg_iou=1.0)
+    heads.HeadConfig(fg_fraction=1.0, fg_iou=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # RoI pooling
 
@@ -201,6 +214,19 @@ def test_head_targets_whole_image_regression_follows_iou(cfg):
     assert np.allclose(delta_t[-1], 0.0)
     assert fg[:-1].sum() == int(round(cfg.fg_fraction * (cfg.rois_per_image - 1)))
     assert len(rois) == cfg.rois_per_image
+
+
+def test_head_targets_labels_follow_scalar_iou():
+    rng = np.random.default_rng(19)
+    pseudo = Box(*(rng.uniform(0, 20, 2).tolist() + rng.uniform(30, 64, 2).tolist()))
+    mins = rng.uniform(0, 40, size=(40, 2))
+    proposals = [Box(*m, *(m + rng.uniform(4, 24, 2))) for m in mins]
+    config = heads.HeadConfig(num_classes=4, rois_per_image=64, fg_fraction=1.0)
+    rois, cls_t, delta_t, fg = heads.head_targets(
+        proposals, pseudo, image_label=2, config=config, rng=rng, image_size=(64, 64))
+    assert len(rois) == len(proposals) + 1
+    for r, f in zip(rois, fg):
+        assert f == (rpn.iou(r, pseudo) >= config.fg_iou)
 
 
 def test_head_targets_inclusive_boundary(cfg):

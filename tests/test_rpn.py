@@ -282,6 +282,84 @@ def test_nms_matches_bruteforce_oracle():
         assert rpn.nms(boxes, scores, thresh) == nms_bruteforce(boxes.tolist(), scores.tolist(), thresh)
 
 
+def _random_boxes(rng, n, span=64.0):
+    mins = rng.uniform(0, span, size=(n, 2))
+    return np.concatenate([mins, mins + rng.uniform(1, span / 2, size=(n, 2))], axis=1)
+
+
+def test_nms_matches_bruteforce_at_pre_nms_top(cfg):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        boxes = _random_boxes(rng, cfg.pre_nms_top)
+        scores = rng.uniform(0, 1, size=cfg.pre_nms_top)
+        for thresh in (cfg.nms_iou, rng.uniform(0.1, 0.9)):
+            assert rpn.nms(boxes, scores, thresh) == nms_bruteforce(boxes.tolist(), scores.tolist(), thresh)
+
+
+def test_nms_duplicate_boxes():
+    rng = np.random.default_rng(12)
+    boxes = _random_boxes(rng, 64)
+    boxes[1::3] = boxes[0]
+    boxes[2::5] = boxes[7]
+    scores = rng.uniform(0, 1, size=64)
+    kept = rpn.nms(boxes, scores, 0.7)
+    assert kept == nms_bruteforce(boxes.tolist(), scores.tolist(), 0.7)
+    assert sum(1 for i in kept if np.array_equal(boxes[i], boxes[0])) == 1
+    assert sum(1 for i in kept if np.array_equal(boxes[i], boxes[7])) == 1
+
+
+def test_nms_tied_scores_go_to_lower_index():
+    boxes = np.array([[0.0, 0, 10, 10], [1.0, 0, 11, 10], [0.0, 0, 10, 10], [30.0, 30, 40, 40]])
+    assert rpn.nms(boxes, np.full(4, 0.5), 0.5) == [0, 3]
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        boxes = _random_boxes(rng, 64, span=16.0)
+        scores = rng.integers(0, 4, size=64).astype(np.float64)
+        assert rpn.nms(boxes, scores, 0.3) == nms_bruteforce(boxes.tolist(), scores.tolist(), 0.3)
+
+
+def test_nms_keeps_pair_at_threshold():
+    # IoU of [0,10)x[0,10) and [5,15)x[0,10) is 50 / 150 = 1/3 exactly
+    boxes = np.array([[0.0, 0, 10, 10], [5.0, 0, 15, 10]])
+    thresh = rpn.iou(Box(*boxes[0]), Box(*boxes[1]))
+    assert thresh == 50.0 / 150.0
+    assert rpn.nms(boxes, np.array([0.9, 0.8]), thresh) == [0, 1]
+    assert rpn.nms(boxes, np.array([0.9, 0.8]), np.nextafter(thresh, 0.0)) == [0]
+    assert nms_bruteforce(boxes.tolist(), [0.9, 0.8], thresh) == [0, 1]
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, float("nan"), 10.0, 10.0],
+    [0.0, 0.0, float("inf"), 10.0],
+    [5.0, 0.0, 5.0, 10.0],
+    [0.0, 4.0, 10.0, 3.0],
+])
+def test_nms_rejects_invalid_boxes(bad):
+    boxes = np.array([[0.0, 0, 10, 10], bad, [20.0, 20, 30, 30]])
+    with pytest.raises(ValueError, match="finite|positive extent"):
+        rpn.nms(boxes, np.array([0.9, 0.5, 0.1]), 0.5)
+    with pytest.raises(ValueError):
+        Box(*bad)
+
+
+def test_nms_rejects_mismatched_lengths():
+    with pytest.raises(ValueError, match="matching"):
+        rpn.nms(np.array([[0.0, 0, 10, 10]]), np.array([0.5, 0.4]), 0.5)
+    assert rpn.nms(np.zeros((0, 4)), np.zeros(0), 0.5) == []
+
+
+def test_iou_matrix_bit_exact_to_scalar_iou():
+    # nms relies on this: the matrix must reproduce iou exactly, not to a tolerance
+    rng = np.random.default_rng(14)
+    boxes = np.concatenate([_random_boxes(rng, 40), _random_boxes(rng, 8, span=8.0)])
+    boxes[:5] = np.round(boxes[:5])
+    others = np.concatenate([_random_boxes(rng, 30), boxes[:6]])
+    m = rpn.iou_matrix(boxes, others)
+    for i in range(len(boxes)):
+        for j in range(len(others)):
+            assert m[i, j] == rpn.iou(Box(*boxes[i]), Box(*others[j]))
+
+
 def test_propose_contract(cfg):
     rng = np.random.default_rng(8)
     anchors = rpn.generate_anchors(8, 8, cfg)
