@@ -229,13 +229,3 @@ def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig
         out.append((level, box))
     return out
 
-
-def write_pgm(path, values: np.ndarray):
-    """Dump a 2-D map as an 8-bit binary PGM (P5) for visual inspection."""
-    v = np.asarray(values, dtype=np.float64)
-    lo, hi = v.min(), v.max()
-    scaled = np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
-    img = np.round(scaled * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{v.shape[1]} {v.shape[0]}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())

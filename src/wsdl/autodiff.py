@@ -50,7 +50,11 @@ class ShapeError(ValueError):
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (frozen-parameter inference)."""
+    """Disable graph recording inside the block (frozen-parameter inference).
+
+    Grad mode is one process-global flag, not per thread: a block entered in
+    one thread turns recording off for every thread until it exits.
+    """
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -92,10 +96,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def validate_finite(self):
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("tensor holds non-finite values")
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -351,13 +351,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), grad_fn)
 
 
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    def grad_fn(g):
-        return (g,)
-
-    return _make(x.data + c, (x,), grad_fn)
-
-
 def center_mean(x: Tensor) -> Tensor:
     """Subtract each sample's scalar mean (axis 0 is the batch)."""
     axes = tuple(range(1, x.ndim))
@@ -514,7 +507,15 @@ class SGD:
         self.state.learning_rate = value
 
     def step(self):
+        """One update of every parameter with a gradient; the rest keep their values.
+
+        Raises ``RuntimeError`` when no parameter has a gradient, as when the
+        loss was built under ``no_grad`` and ``backward`` reached nothing.
+        """
         st = self.state
+        if all(p.grad is None for p in self.params.values()):
+            raise RuntimeError("SGD.step: no parameter has a gradient "
+                               "(was the loss built under no_grad?)")
         for name, p in self.params.items():
             if p.grad is None:
                 continue

@@ -164,28 +164,6 @@ def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> Featur
                       cam_class_weights=params["cam.fc.weight"].data)
 
 
-def dln_forward(params: dict, images: Tensor, config: BackboneConfig) -> FeatureSet:
-    """Localization-network forward: shared stages only, no cam head."""
-    stage_outputs = stage_forward(params, images, config)
-    levels = tuple(n for n in config.tap_levels if n != "cam")
-    sub = FeatureSet(taps={}, strides={})
-    for name in levels:
-        sub.taps[name] = stage_outputs[-2] if name == "mid" else stage_outputs[-1]
-        sub.strides[name] = config.tap_stride(name)
-    sub.taps["late"] = stage_outputs[-1]
-    sub.strides["late"] = config.tap_stride("late")
-    return sub
-
-
-def maen_classify(params: dict, images, config: BackboneConfig):
-    """Predicted probabilities and classes; ties resolve to the lowest index."""
-    with ad.no_grad():
-        x = images if isinstance(images, Tensor) else Tensor(images)
-        fs = maen_forward(params, x, config)
-        probs = ad.softmax(fs.cam_logits).data
-    return probs, probs.argmax(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -272,19 +250,3 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: {len(data) - off} trailing bytes in checkpoint")
     return ckpt
 
-
-def clone_shared_weights(source: Checkpoint, target: Checkpoint,
-                         shared_prefix: str = "stages.") -> Checkpoint:
-    """New checkpoint whose shared stages are exact copies of ``source``.
-
-    Non-shared (head) entries keep the freshly initialized values from
-    ``target``. Shared names absent from the source are an error.
-    """
-    missing = [n for n in target.params if n.startswith(shared_prefix) and n not in source.params]
-    if missing:
-        raise KeyError(f"source checkpoint is missing shared parameters: {sorted(missing)}")
-    table = {}
-    for name, arr in target.params.items():
-        src = source.params[name] if name.startswith(shared_prefix) else arr
-        table[name] = src.copy()
-    return Checkpoint(target.version, table, target.stage_tag)

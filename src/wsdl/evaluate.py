@@ -13,7 +13,6 @@ import json
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from . import rpn
 from . import synthdata as sd
 
 LOCALIZATION_LEVEL = "cam"  # boxes scored against the object annotation
-THREADS_ENV = "WSDL_THREADS"
 
 
 def accuracy(predictions, labels) -> float:
@@ -128,12 +126,7 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     levels = list(model.levels)
     num_classes = model.config.backbone.num_classes
 
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            predictions = list(pool.map(lambda img: pl.infer(img, model), view.images))
-    else:
-        predictions = [pl.infer(img, model) for img in view.images]
+    predictions = [pl.infer(img, model) for img in view.images]
     maen_all = [dict(att.pseudo_boxes(img, model.maen_params, model.config.backbone))
                 for img in view.images]
     maen_boxes = {level: [boxes[level] for boxes in maen_all] for level in levels}

@@ -3,21 +3,21 @@
 Training runs three stages in order:
 
 1. the classification network (backbone + cam head) on image-level labels;
-2. the region proposal network over convolutional stages cloned from stage 1
-   and kept frozen, trained against the attention pseudo boxes;
+2. the region proposal network over stage 1's own convolutional stages,
+   frozen after stage 1, trained against the attention pseudo boxes;
 3. one localization head per attention level, trained on frozen proposals
    and frozen shared features against that level's pseudo boxes.
 
-Each stage owns dedicated random streams spawned from the one training seed,
-so a stage rerun from checkpoints reproduces the composed run bit for bit.
-Inference shares one backbone pass per image across the proposal network and
-all heads.
+The stage-1 conv stages are the only trunk: the stage-2 checkpoint holds the
+proposal network alone. Each stage owns dedicated random streams spawned from
+the one training seed, so a stage rerun from checkpoints reproduces the
+composed run bit for bit. Inference shares one backbone pass per image across
+the proposal network and all heads.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -52,17 +52,11 @@ class TrainedModel:
         self.heads = heads
         self.config = config
         self.maen_params = bb.checkpoint_to_params(maen, requires_grad=False)
-        self.dln_params = bb.checkpoint_to_params(dln, requires_grad=False)
+        self.rpn_params = bb.checkpoint_to_params(dln, requires_grad=False)
         self.head_params = {lvl: bb.checkpoint_to_params(c, requires_grad=False)
                             for lvl, c in heads.items()}
         gh, gw = config.backbone.grid_size
         self.anchors = rpn.generate_anchors(gh, gw, config.anchor)
-        self.backbone_forwards = 0  # inference op-count probe
-        self._count_lock = threading.Lock()
-
-    def _count_forward(self):
-        with self._count_lock:
-            self.backbone_forwards += 1
 
     @property
     def levels(self) -> tuple:
@@ -127,43 +121,41 @@ def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
 
 def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
               boxes: list | None = None) -> bb.Checkpoint:
-    """Stage 2: proposal head over the cloned (and kept frozen) shared stages.
+    """Stage 2: proposal head over the stage-1 conv stages, kept frozen.
 
-    Freezing the clone preserves the class separability of the shared map for
+    Freezing the trunk preserves the class separability of the shared map for
     the stage-3 heads; fine-tuning the whole stack on pure objectness erases
     it within one epoch at this scale. The frozen trunk also lets every epoch
-    reuse one cached forward pass per image.
+    reuse one cached forward pass per image. The returned checkpoint holds
+    only the ``rpn.*`` parameters; the trunk stays in ``maen_ckpt``.
     """
     ad.enable_buffer_reuse()
     log = log_fn or (lambda line: None)
     tc, bc, ac = config.train, config.backbone, config.anchor
     images = _check_view(view, config)
     n = len(view)
+    trunk = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
     if boxes is None:
-        boxes = pseudo_box_table(images, bb.checkpoint_to_params(maen_ckpt, False), config)
+        boxes = pseudo_box_table(images, trunk, config)
 
     rng_init = _rng(config, _S_INIT_DLN)
     rng_sample = _rng(config, _S_SAMPLE_RPN)
     rng_shuffle = _rng(config, _S_SHUFFLE_RPN)
 
-    fresh = dict(bb.init_stage_params(bc, rng_init))
-    fresh.update(rpn.init_rpn_params(bc.stage_channels[-1], ac, rng_init))
-    dln_ckpt = bb.clone_shared_weights(maen_ckpt, bb.params_to_checkpoint(fresh, "dln"))
-    params = bb.checkpoint_to_params(dln_ckpt)
-    trunk = {name: p for name, p in params.items() if not name.startswith("rpn.")}
-    head = {name: p for name, p in params.items() if name.startswith("rpn.")}
-    for p in trunk.values():
-        p.requires_grad = False
+    # Drawn and thrown away: it keeps the proposal head's random draws where
+    # they were, and with them every trained model.
+    bb.init_stage_params(bc, rng_init)
+    params = rpn.init_rpn_params(bc.stage_channels[-1], ac, rng_init)
 
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
     batches = [rpn.label_anchors(anchors, list(boxes[i].values()), ac, rng_sample)
                for i in range(n)]
     with ad.no_grad():
-        late_maps = [bb.stage_forward(params, Tensor(images[i : i + 1]), bc)[-1].data
+        late_maps = [bb.stage_forward(trunk, Tensor(images[i : i + 1]), bc)[-1].data
                      for i in range(n)]
 
-    opt = ad.SGD(head, tc.learning_rate, tc.momentum, tc.weight_decay)
+    opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
     for epoch in range(tc.epochs_rpn):
         if epoch == tc.decay_epoch_rpn:
             opt.learning_rate = opt.learning_rate / tc.decay_factor
@@ -183,8 +175,6 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
             hit += int((predicted == batch.labels[batch.sampled]).sum())
             total += len(batch.sampled)
         log(LOG_LINE.format(stage=2, epoch=epoch + 1, loss=loss_sum / n, acc=hit / total))
-    for p in trunk.values():
-        p.requires_grad = True
     return bb.params_to_checkpoint(params, "dln")
 
 
@@ -199,22 +189,23 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
     labels = view.labels
     n = len(view)
     image_size = bc.input_size
+    trunk = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
     if boxes is None:
-        boxes = pseudo_box_table(images, bb.checkpoint_to_params(maen_ckpt, False), config)
+        boxes = pseudo_box_table(images, trunk, config)
 
     rng_init = _rng(config, _S_INIT_HEADS)
     rng_sample = _rng(config, _S_SAMPLE_HEADS)
     rng_shuffle = _rng(config, _S_SHUFFLE_HEADS)
 
-    dln_params = bb.checkpoint_to_params(dln_ckpt, requires_grad=False)
+    rpn_params = bb.checkpoint_to_params(dln_ckpt, requires_grad=False)
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
     late_maps = []
     proposal_cache = []
     with ad.no_grad():
         for i in range(n):
-            late = bb.stage_forward(dln_params, Tensor(images[i : i + 1]), bc)[-1]
-            probs, deltas = rpn.rpn_forward(dln_params, late, ac)
+            late = bb.stage_forward(trunk, Tensor(images[i : i + 1]), bc)[-1]
+            probs, deltas = rpn.rpn_forward(rpn_params, late, ac)
             props = rpn.propose(probs, deltas, anchors, ac, image_size)
             late_maps.append(late.data[0])
             proposal_cache.append([box for box, _ in props])
@@ -291,57 +282,44 @@ def _head_contribution(model: TrainedModel, level: str, pooled: np.ndarray,
 
 
 def _propose_boxes(model: TrainedModel, late, image_size):
-    probs, deltas = rpn.rpn_forward(model.dln_params, late, model.config.anchor)
+    probs, deltas = rpn.rpn_forward(model.rpn_params, late, model.config.anchor)
     props = rpn.propose(probs, deltas, model.anchors, model.config.anchor, image_size)
     return [box for box, _ in props] or [whole_image_box(image_size)]
 
 
-def infer(image, model: TrainedModel) -> hd.Prediction:
-    """One shared backbone pass, one proposal pass, all heads on the same map."""
-    bc = model.config.backbone
-    image_size = bc.input_size
-    stride = bc.tap_stride("late")
-    with ad.no_grad():
-        late = bb.stage_forward(model.dln_params, Tensor(np.asarray(image)[None]), bc)[-1]
-        model._count_forward()
-        boxes = _propose_boxes(model, late, image_size)
-        rois = boxes + [whole_image_box(image_size)]
-        pooled = hd.roi_pool_batch(late.data[0], rois, stride, model.config.head.roi_out)
-        per_level = {}
-        fulls = []
-        for level in model.levels:
-            pred, full = _head_contribution(model, level, pooled, boxes, image_size)
-            per_level[level] = pred
-            fulls.append(full)
-    full_image_scores = np.mean(fulls, axis=0)
-    fused, cls = hd.fuse_scores([per_level[lvl].scores for lvl in model.levels],
-                                full_image_scores)
-    return hd.Prediction(per_level=per_level, full_image_scores=full_image_scores,
-                         fused=fused, predicted_class=cls)
-
-
-def infer_separate(image, model: TrainedModel) -> hd.Prediction:
-    """Reference mode: one full network pass per level (no feature sharing)."""
+def _infer(image, model: TrainedModel, groups) -> hd.Prediction:
+    """One trunk pass and one proposal pass per group of levels, whose heads
+    all read that pass's map; the groups cover ``model.levels`` in order."""
     bc = model.config.backbone
     image_size = bc.input_size
     stride = bc.tap_stride("late")
     per_level = {}
     fulls = []
     with ad.no_grad():
-        for level in model.levels:
-            late = bb.stage_forward(model.dln_params, Tensor(np.asarray(image)[None]), bc)[-1]
-            model._count_forward()
+        for levels in groups:
+            late = bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]), bc)[-1]
             boxes = _propose_boxes(model, late, image_size)
             rois = boxes + [whole_image_box(image_size)]
             pooled = hd.roi_pool_batch(late.data[0], rois, stride, model.config.head.roi_out)
-            pred, full = _head_contribution(model, level, pooled, boxes, image_size)
-            per_level[level] = pred
-            fulls.append(full)
+            for level in levels:
+                pred, full = _head_contribution(model, level, pooled, boxes, image_size)
+                per_level[level] = pred
+                fulls.append(full)
     full_image_scores = np.mean(fulls, axis=0)
     fused, cls = hd.fuse_scores([per_level[lvl].scores for lvl in model.levels],
                                 full_image_scores)
     return hd.Prediction(per_level=per_level, full_image_scores=full_image_scores,
                          fused=fused, predicted_class=cls)
+
+
+def infer(image, model: TrainedModel) -> hd.Prediction:
+    """One shared backbone pass, one proposal pass, all heads on the same map."""
+    return _infer(image, model, [model.levels])
+
+
+def infer_separate(image, model: TrainedModel) -> hd.Prediction:
+    """Reference mode: one full network pass per level (no feature sharing)."""
+    return _infer(image, model, [(level,) for level in model.levels])
 
 
 def maen_pseudo_box(image, model: TrainedModel, level: str = "cam") -> att.Box:
@@ -365,10 +343,36 @@ def save_model(model: TrainedModel, out_dir):
         fh.write(model.config.to_lines())
 
 
+def _check_layout(ckpt: bb.Checkpoint, path, stage_tag: str, expected: dict):
+    """Reject a checkpoint whose tag, names or shapes differ from ``expected``."""
+    if ckpt.stage_tag != stage_tag:
+        raise ValueError(f"{path}: stage tag {ckpt.stage_tag!r}, expected {stage_tag!r}")
+    for name in ckpt.params:
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected parameter {name!r}")
+    for name, t in expected.items():
+        if name not in ckpt.params:
+            raise ValueError(f"{path}: missing parameter {name!r}")
+        if ckpt.params[name].shape != t.shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape "
+                             f"{ckpt.params[name].shape}, expected {t.shape}")
+
+
 def load_model(model_dir) -> TrainedModel:
+    """Load a saved model, checking every checkpoint against ``model_config.txt``."""
     config = load_run_config(os.path.join(model_dir, "model_config.txt"))
-    maen = bb.load_checkpoint(os.path.join(model_dir, "maen.ckpt"))
-    dln = bb.load_checkpoint(os.path.join(model_dir, "dln.ckpt"))
-    heads = {level: bb.load_checkpoint(os.path.join(model_dir, f"head_{level}.ckpt"))
-             for level in config.backbone.tap_levels}
-    return TrainedModel(maen, dln, heads, config)
+    bc = config.backbone
+    rng = np.random.default_rng(0)  # only the shapes of the initial tables are used
+    layouts = {"maen.ckpt": ("maen", bb.init_maen_params(bc, rng)),
+               "dln.ckpt": ("dln", rpn.init_rpn_params(bc.stage_channels[-1],
+                                                       config.anchor, rng))}
+    head = hd.init_head_params(config.head, bc.stage_channels[-1], rng)
+    for level in bc.tap_levels:
+        layouts[f"head_{level}.ckpt"] = (f"head.{level}", head)
+    ckpts = []
+    for name, (stage_tag, expected) in layouts.items():
+        path = os.path.join(model_dir, name)
+        ckpts.append(bb.load_checkpoint(path))
+        _check_layout(ckpts[-1], path, stage_tag, expected)
+    maen, dln, *heads = ckpts
+    return TrainedModel(maen, dln, dict(zip(bc.tap_levels, heads)), config)

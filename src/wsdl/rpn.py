@@ -120,12 +120,6 @@ def encode_box(box, anchor) -> np.ndarray:
     return encode_boxes(np.asarray([_as_corners(box)]), np.asarray([_as_corners(anchor)]))[0]
 
 
-def decode_box(delta, anchor, image_size=None) -> Box:
-    out = decode_boxes(np.asarray([delta], dtype=np.float64),
-                       np.asarray([_as_corners(anchor)]), image_size)[0]
-    return Box(*out)
-
-
 def _as_corners(box) -> np.ndarray:
     if isinstance(box, Box):
         return box.as_array()

@@ -245,11 +245,6 @@ def load_labels(split_dir) -> list:
     return out
 
 
-def load_sample(split_dir, filename: str, label: int):
-    """One training-view sample: (float image [3,H,W] in [0,1], class index)."""
-    return image_to_float(read_ppm(os.path.join(split_dir, filename))), label
-
-
 class TrainView:
     """The weak-supervision view of a split: images and class labels only.
 

@@ -187,12 +187,3 @@ def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
     for _, box in boxes:
         assert box == att.whole_image_box(small_cfg.input_size)
 
-
-def test_write_pgm(tmp_path):
-    values = np.arange(12, dtype=np.float64).reshape(3, 4)
-    path = tmp_path / "map.pgm"
-    att.write_pgm(path, values)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n4 3\n255\n")
-    assert len(raw) == len(b"P5\n4 3\n255\n") + 12
-    assert raw[-1] == 255

@@ -165,6 +165,27 @@ def test_sgd_examples():
     assert np.allclose(w.data, [-0.29])
 
 
+def test_sgd_step_rejects_graph_built_under_no_grad():
+    w = t([1.0, -2.0])
+    opt = ad.SGD({"w": w}, learning_rate=0.1)
+    with ad.no_grad():
+        loss = ad.sum_all(ad.mul(w, w))
+    ad.backward(loss)
+    with pytest.raises(RuntimeError, match="no parameter has a gradient"):
+        opt.step()
+    assert np.array_equal(w.data, [1.0, -2.0])
+
+
+def test_sgd_step_allows_partial_gradients():
+    w, unused = t([1.0]), t([5.0])
+    opt = ad.SGD({"w": w, "unused": unused}, learning_rate=0.1, momentum=0.0,
+                 weight_decay=0.0)
+    ad.backward(ad.sum_all(w))
+    opt.step()
+    assert np.allclose(w.data, [0.9])
+    assert np.array_equal(unused.data, [5.0])
+
+
 def test_optimstate_validation():
     with pytest.raises(ValueError):
         ad.OptimState(learning_rate=-1.0)

@@ -76,25 +76,6 @@ def test_forward_rejects_bad_inputs(cfg, params):
         bb.maen_forward(params, Tensor(np.full((1, 3, 64, 64), 1.5)), cfg)
 
 
-def test_classify_probs_normalized_and_deterministic(cfg, params):
-    imgs = _image_batch(4, seed=2)
-    probs, pred = bb.maen_classify(params, imgs, cfg)
-    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-6
-    probs2, pred2 = bb.maen_classify(params, imgs, cfg)
-    assert np.array_equal(probs, probs2)
-    assert np.array_equal(pred, pred2)
-
-
-def test_classify_zeroed_network_ties_to_class_zero():
-    cfg = bb.BackboneConfig(num_classes=2)
-    params = bb.init_maen_params(cfg, np.random.default_rng(3))
-    for p in params.values():
-        p.data[...] = 0.0
-    probs, pred = bb.maen_classify(params, _image_batch(2, seed=4), cfg)
-    assert np.allclose(probs, 0.5)
-    assert np.all(pred == 0)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -141,37 +122,3 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         bb.load_checkpoint(newer)
     assert bb.load_checkpoint(good).version == bb.CHECKPOINT_VERSION
 
-
-def test_clone_shared_weights_equality(cfg, params):
-    source = bb.params_to_checkpoint(params, stage_tag="maen")
-    fresh = bb.init_stage_params(cfg, np.random.default_rng(9))
-    target = bb.params_to_checkpoint(fresh, stage_tag="dln")
-    cloned = bb.clone_shared_weights(source, target)
-    for name in cloned.params:
-        if name.startswith("stages."):
-            assert np.array_equal(cloned.params[name], source.params[name])
-
-    cloned_params = bb.checkpoint_to_params(cloned)
-    img = Tensor(_image_batch(1, seed=7))
-    late_src = bb.maen_forward(params, img, cfg).taps["late"].data
-    late_dst = bb.dln_forward(cloned_params, img, cfg).taps["late"].data
-    assert np.array_equal(late_src.astype(np.float32), late_dst.astype(np.float32))
-
-
-def test_clone_twice_identical(cfg, params):
-    source = bb.params_to_checkpoint(params, stage_tag="maen")
-    t1 = bb.params_to_checkpoint(bb.init_stage_params(cfg, np.random.default_rng(11)), "dln")
-    t2 = bb.params_to_checkpoint(bb.init_stage_params(cfg, np.random.default_rng(11)), "dln")
-    c1 = bb.clone_shared_weights(source, t1)
-    c2 = bb.clone_shared_weights(source, t2)
-    assert list(c1.params) == list(c2.params)
-    for name in c1.params:
-        assert np.array_equal(c1.params[name], c2.params[name])
-
-
-def test_clone_missing_stage_names_error(cfg, params):
-    source = bb.params_to_checkpoint(params, stage_tag="maen")
-    del source.params["stages.1.conv0.weight"]
-    target = bb.params_to_checkpoint(bb.init_stage_params(cfg, np.random.default_rng(13)), "dln")
-    with pytest.raises(KeyError, match="stages.1.conv0.weight"):
-        bb.clone_shared_weights(source, target)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_exit_codes(cli_pipeline, tmp_path):
     assert run(["eval", "--data", str(data), "--model", str(tmp_path / "missing"),
                 "--out", str(tmp_path / "r")]) == 2
     assert run(["bench", "--data", str(data), "--model", str(model)]) == 2
+    # a dln.ckpt that still carries its own copy of the trunk
+    old = tmp_path / "old-layout"
+    shutil.copytree(model, old)
+    dln = bb.load_checkpoint(old / "dln.ckpt")
+    maen = bb.load_checkpoint(old / "maen.ckpt")
+    dln.params = {**{n: a for n, a in maen.params.items() if n.startswith("stages.")},
+                  **dln.params}
+    bb.save_checkpoint(dln, old / "dln.ckpt")
+    assert run(["eval", "--data", str(data), "--model", str(old),
+                "--out", str(tmp_path / "r2")]) == 2
 
 
 def test_unknown_config_key_fails(tmp_path):

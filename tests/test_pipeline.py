@@ -7,11 +7,25 @@ import pytest
 
 from wsdl import backbone as bb
 from wsdl import pipeline as pl
+from wsdl import rpn
 from wsdl import synthdata as sd
 
 from conftest import tiny_config
 
 LOG_RE = re.compile(r"^stage=(\d) epoch=(\d+) loss=(\d+\.\d{6}) acc=(\d+\.\d{4})$")
+
+
+def _trunk_passes(monkeypatch) -> list:
+    """Record the parameter table of every ``bb.stage_forward`` call from now on."""
+    calls = []
+    real = bb.stage_forward
+
+    def counting(params, images, config):
+        calls.append(params)
+        return real(params, images, config)
+
+    monkeypatch.setattr(bb, "stage_forward", counting)
+    return calls
 
 
 def test_log_format_and_stage_ordering(tiny_setup):
@@ -71,14 +85,14 @@ def test_training_never_reads_annotations(tmp_path, monkeypatch):
     assert model.maen.params
 
 
-def test_infer_contract(tiny_setup):
+def test_infer_contract(tiny_setup, monkeypatch):
     model = tiny_setup.model
     cfg = tiny_setup.config
     test_view = sd.TrainView(os.path.join(tiny_setup.data, "test"))
 
-    model.backbone_forwards = 0
+    passes = _trunk_passes(monkeypatch)
     preds = [pl.infer(img, model) for img in test_view.images]
-    assert model.backbone_forwards == len(test_view)  # one shared pass per image
+    assert len(passes) == len(test_view)  # one shared pass per image
 
     c = cfg.backbone.num_classes
     h, w = cfg.backbone.input_size
@@ -101,7 +115,7 @@ def test_infer_deterministic(tiny_setup):
     assert a.predicted_class == b.predicted_class
 
 
-def test_infer_separate_matches_shared(tiny_setup):
+def test_infer_separate_matches_shared(tiny_setup, monkeypatch):
     model = tiny_setup.model
     test_view = sd.TrainView(os.path.join(tiny_setup.data, "test"))
     for img in test_view.images[:4]:
@@ -109,12 +123,12 @@ def test_infer_separate_matches_shared(tiny_setup):
         b = pl.infer_separate(img, model)
         assert np.allclose(a.fused, b.fused)
         assert a.predicted_class == b.predicted_class
-    model.backbone_forwards = 0
+    passes = _trunk_passes(monkeypatch)
     pl.infer_separate(test_view.images[0], model)
-    assert model.backbone_forwards == len(model.levels)
+    assert len(passes) == len(model.levels)
 
 
-def test_single_level_reduces_to_region_plus_full_image(tmp_path):
+def test_single_level_reduces_to_region_plus_full_image(tmp_path, monkeypatch):
     cfg = tiny_config(train_count=20, test_count=4, tap_levels="cam")
     data = tmp_path / "d"
     sd.generate_dataset(cfg.gen, data)
@@ -126,9 +140,9 @@ def test_single_level_reduces_to_region_plus_full_image(tmp_path):
     expected = (pred.per_level["cam"].scores + pred.full_image_scores) / 2.0
     assert np.allclose(pred.fused, expected)
 
-    model.backbone_forwards = 0
+    passes = _trunk_passes(monkeypatch)
     pl.infer(img, model)
-    assert model.backbone_forwards == 1
+    assert len(passes) == 1
 
 
 def test_model_roundtrip(tiny_setup, tmp_path):
@@ -143,12 +157,54 @@ def test_model_roundtrip(tiny_setup, tmp_path):
         assert np.array_equal(loaded.dln.params[name], arr)
 
 
-def test_clone_hands_stage1_weights_to_stage2(tiny_setup):
-    maen, dln = tiny_setup.model.maen, tiny_setup.model.dln
-    # the localization network's shared stages are exact clones of stage 1
-    # (kept frozen through stage 2) plus its own proposal-head parameters
-    shared = [n for n in maen.params if n.startswith("stages.")]
-    assert shared and all(n in dln.params for n in shared)
-    for n in shared:
-        assert np.array_equal(maen.params[n], dln.params[n])
-    assert any(n.startswith("rpn.") for n in dln.params)
+def test_inference_trunk_is_stage1_trunk(tiny_setup, monkeypatch):
+    model = tiny_setup.model
+    # the stage-2 checkpoint holds the proposal network and nothing else
+    expected = rpn.init_rpn_params(tiny_setup.config.backbone.stage_channels[-1],
+                                   tiny_setup.config.anchor, np.random.default_rng(0))
+    assert set(model.dln.params) == set(expected)
+    shared = [n for n in model.maen.params if n.startswith("stages.")]
+    assert shared
+    img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
+    passes = _trunk_passes(monkeypatch)
+    pl.infer(img, model)
+    pl.infer_separate(img, model)
+    assert len(passes) == 1 + len(model.levels)
+    for params in passes:
+        for n in shared:
+            assert np.array_equal(params[n].data, model.maen.params[n]), n
+
+
+def _saved_model(tiny_setup, tmp_path):
+    out = tmp_path / "model"
+    pl.save_model(tiny_setup.model, out)
+    return out
+
+
+def test_load_model_rejects_old_layout_dln(tiny_setup, tmp_path):
+    out = _saved_model(tiny_setup, tmp_path)
+    dln = bb.load_checkpoint(out / "dln.ckpt")
+    dln.params["stages.0.conv0.weight"] = tiny_setup.model.maen.params["stages.0.conv0.weight"]
+    bb.save_checkpoint(dln, out / "dln.ckpt")
+    with pytest.raises(ValueError, match=r"dln\.ckpt: unexpected parameter 'stages\.0\.conv0\.weight'"):
+        pl.load_model(out)
+
+
+def test_load_model_rejects_swapped_head_files(tiny_setup, tmp_path):
+    out = _saved_model(tiny_setup, tmp_path)
+    late, cam = (out / "head_late.ckpt").read_bytes(), (out / "head_cam.ckpt").read_bytes()
+    (out / "head_late.ckpt").write_bytes(cam)
+    (out / "head_cam.ckpt").write_bytes(late)
+    with pytest.raises(ValueError, match=r"head_late\.ckpt: stage tag 'head\.cam', expected 'head\.late'"):
+        pl.load_model(out)
+
+
+def test_load_model_rejects_config_disagreeing_with_shapes(tiny_setup, tmp_path):
+    out = _saved_model(tiny_setup, tmp_path)
+    path = out / "model_config.txt"
+    lines = path.read_text().splitlines()
+    assert "num_classes = 3" in lines
+    path.write_text("\n".join("num_classes = 4" if line == "num_classes = 3" else line
+                              for line in lines) + "\n")
+    with pytest.raises(ValueError, match=r"maen\.ckpt: parameter 'cam\.fc\.weight' has shape"):
+        pl.load_model(out)

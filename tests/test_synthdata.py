@@ -101,16 +101,6 @@ def test_ppm_roundtrip(tmp_path):
     assert f.min() >= 0.0 and f.max() <= 1.0
 
 
-def test_load_sample_roundtrip(small_dataset):
-    out, _ = small_dataset
-    labels = sd.load_labels(os.path.join(out, "train"))
-    name, label = labels[3]
-    image, got_label = sd.load_sample(os.path.join(out, "train"), name, label)
-    assert got_label == label
-    raw = sd.read_ppm(os.path.join(out, "train", name))
-    assert np.array_equal(image, sd.image_to_float(raw))
-
-
 def test_generation_deterministic(tmp_path):
     config = sd.GenConfig(num_classes=4, train_count=10, test_count=4, seed=3)
     a, b = tmp_path / "a", tmp_path / "b"
