@@ -199,8 +199,9 @@ def to_image_coords(box: Box, stride: int, image_size) -> Box:
     )
 
 
-def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig) -> list:
-    """One (level, Box) pseudo annotation per configured tap level.
+def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig) -> tuple:
+    """One (level, Box) pseudo annotation per configured tap level, and the
+    last stage output [1,C,h,w] of the same pass: ``(boxes, late)``.
 
     Runs the trained classification network once, takes its predicted class
     for the cam-level weighting, and maps each level's largest attention
@@ -227,5 +228,5 @@ def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig
         else:
             box = to_image_coords(component, stride, config.input_size)
         out.append((level, box))
-    return out
+    return out, fs.late
 

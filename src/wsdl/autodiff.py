@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -463,64 +462,48 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float3
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-@dataclass
-class OptimState:
-    learning_rate: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    velocity: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-
-
-def sgd_update(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-               learning_rate: float, momentum: float, weight_decay: float):
-    """In-place momentum step: v <- m*v + g + wd*p; p <- p - lr*v."""
-    velocity *= momentum
-    velocity += grad + weight_decay * param
-    param -= learning_rate * velocity
-
-
 class SGD:
     """Momentum SGD over a named parameter table."""
 
     def __init__(self, params: dict, learning_rate: float = 0.001,
                  momentum: float = 0.9, weight_decay: float = 0.0005):
+        self.learning_rate = learning_rate
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0,1), got {momentum}")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {weight_decay}")
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self.params = params
-        self.state = OptimState(learning_rate, momentum, weight_decay,
-                                {k: np.zeros_like(t.data) for k, t in params.items()})
+        self.velocity = {k: np.zeros_like(t.data) for k, t in params.items()}
 
     @property
     def learning_rate(self) -> float:
-        return self.state.learning_rate
+        return self._learning_rate
 
     @learning_rate.setter
     def learning_rate(self, value: float):
         if value <= 0:
             raise ValueError(f"learning_rate must be positive, got {value}")
-        self.state.learning_rate = value
+        self._learning_rate = value
 
     def step(self):
-        """One update of every parameter with a gradient; the rest keep their values.
+        """One in-place momentum update, v <- m*v + g + wd*p; p <- p - lr*v, of
+        every parameter with a gradient; the rest keep their values.
 
         Raises ``RuntimeError`` when no parameter has a gradient, as when the
         loss was built under ``no_grad`` and ``backward`` reached nothing.
         """
-        st = self.state
         if all(p.grad is None for p in self.params.values()):
             raise RuntimeError("SGD.step: no parameter has a gradient "
                                "(was the loss built under no_grad?)")
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            sgd_update(p.data, p.grad, st.velocity[name],
-                       st.learning_rate, st.momentum, st.weight_decay)
+            velocity = self.velocity[name]
+            velocity *= self.momentum
+            velocity += p.grad + self.weight_decay * p.data
+            p.data -= self._learning_rate * velocity
 
     def zero_grad(self):
         for p in self.params.values():

@@ -65,6 +65,7 @@ class BackboneConfig:
 class FeatureSet:
     taps: dict
     strides: dict
+    late: Tensor | None = None  # last stage output, whether or not "late" is a tap
     cam_logits: Tensor | None = None
     cam_class_weights: np.ndarray | None = None
 
@@ -153,14 +154,14 @@ def _collect_taps(stage_outputs: list, cam_map, config: BackboneConfig):
 
 
 def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> FeatureSet:
-    """Classification-network forward: taps plus cam logits."""
+    """Classification-network forward: taps, the last stage output and cam logits."""
     stage_outputs = stage_forward(params, images, config)
     cam_map = ad.relu(ad.conv2d(stage_outputs[-1], params["cam.conv.weight"],
                                 params["cam.conv.bias"], stride=1, pad=1))
     pooled = ad.global_avg_pool(cam_map)
     logits = ad.linear(pooled, params["cam.fc.weight"], params["cam.fc.bias"])
     taps, strides = _collect_taps(stage_outputs, cam_map, config)
-    return FeatureSet(taps=taps, strides=strides, cam_logits=logits,
+    return FeatureSet(taps=taps, strides=strides, late=stage_outputs[-1], cam_logits=logits,
                       cam_class_weights=params["cam.fc.weight"].data)
 
 

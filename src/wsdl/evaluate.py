@@ -3,8 +3,10 @@
 Classification accuracy is correct count over test count. A localization
 counts as correct when the predicted box's IoU with the annotated object box
 strictly exceeds 0.5. PCL is the fraction of part points falling inside the
-predicted box (half-open convention). The benchmark compares one shared
-backbone pass feeding all heads against one full network pass per head.
+predicted box (half-open convention). One classification-network pass per
+test image gives both its attention boxes and the localization network's map.
+The benchmark compares one shared backbone pass feeding all heads against one
+full network pass per head.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     levels = list(model.levels)
     num_classes = model.config.backbone.num_classes
 
-    predictions = [pl.infer(img, model) for img in view.images]
-    maen_all = [dict(att.pseudo_boxes(img, model.maen_params, model.config.backbone))
-                for img in view.images]
+    predictions, maen_all = [], []
+    for img in view.images:
+        boxes, late = att.pseudo_boxes(img, model.maen_params, model.config.backbone)
+        predictions.append(pl._infer(model, [(model.levels, late)]))
+        maen_all.append(dict(boxes))
     maen_boxes = {level: [boxes[level] for boxes in maen_all] for level in levels}
 
     labels = view.labels.tolist()

@@ -44,6 +44,9 @@ class HeadConfig:
             raise ValueError(f"fg_fraction must lie in [0, 1], got {self.fg_fraction}")
         if not 0.0 < self.fg_iou <= 1.0:
             raise ValueError(f"fg_iou must lie in (0, 1], got {self.fg_iou}")
+        if min(self.rois_per_image, self.hidden, *self.roi_out) < 1:
+            raise ValueError(f"rois_per_image, hidden and each roi_out entry must be >= 1, got "
+                             f"{self.rois_per_image}, {self.hidden}, {self.roi_out}")
 
     @property
     def background(self) -> int:
@@ -176,15 +179,10 @@ def head_targets(proposals: list, level_pseudo_box: Box, image_label: int,
     fg_idx = np.flatnonzero(fg[:whole])
     bg_idx = np.flatnonzero(~fg[:whole])
     slots = config.rois_per_image - 1
-    want_fg = int(round(config.fg_fraction * slots))
-    n_fg = min(len(fg_idx), want_fg)
-    n_bg = min(len(bg_idx), slots - n_fg)
-    n_fg = min(len(fg_idx), slots - n_bg)
     chosen = np.concatenate([
-        rng.choice(fg_idx, size=n_fg, replace=False) if n_fg else np.empty(0, dtype=np.int64),
-        rng.choice(bg_idx, size=n_bg, replace=False) if n_bg else np.empty(0, dtype=np.int64),
+        rpn.sample_quota(fg_idx, bg_idx, int(round(config.fg_fraction * slots)), slots, rng),
         [whole],
-    ]).astype(np.int64)
+    ])
 
     sampled_rois = [rois[i] for i in chosen]
     cls_targets = np.where(fg[chosen] | (chosen == whole), image_label,

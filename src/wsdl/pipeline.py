@@ -9,10 +9,11 @@ Training runs three stages in order:
    and frozen shared features against that level's pseudo boxes.
 
 The stage-1 conv stages are the only trunk: the stage-2 checkpoint holds the
-proposal network alone. Each stage owns dedicated random streams spawned from
-the one training seed, so a stage rerun from checkpoints reproduces the
-composed run bit for bit. Inference shares one backbone pass per image across
-the proposal network and all heads.
+proposal network alone, and one pass of the frozen trunk per training image
+gives stages 2 and 3 both its pseudo boxes and its shared map. Each stage owns
+dedicated random streams spawned from the one training seed, so a stage rerun
+from checkpoints reproduces the composed run bit for bit. Inference shares one
+backbone pass per image across the proposal network and all heads.
 """
 
 from __future__ import annotations
@@ -81,10 +82,15 @@ def _check_view(view, config: RunConfig) -> np.ndarray:
     return np.stack(view.images)
 
 
-def pseudo_box_table(images: np.ndarray, maen_params: dict,
-                     config: RunConfig) -> list:
-    """Per image: level -> pseudo box, from the frozen classification network."""
-    return [dict(att.pseudo_boxes(img, maen_params, config.backbone)) for img in images]
+def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
+    """Per training image: (level -> pseudo box, last stage output), from one
+    pass of the frozen classification network."""
+    maen_params = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
+    table = []
+    for img in _check_view(view, config):
+        boxes, late = att.pseudo_boxes(img, maen_params, config.backbone)
+        table.append((dict(boxes), late))
+    return table
 
 
 def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
@@ -120,23 +126,22 @@ def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
 
 
 def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
-              boxes: list | None = None) -> bb.Checkpoint:
+              table: list | None = None) -> bb.Checkpoint:
     """Stage 2: proposal head over the stage-1 conv stages, kept frozen.
 
     Freezing the trunk preserves the class separability of the shared map for
     the stage-3 heads; fine-tuning the whole stack on pure objectness erases
     it within one epoch at this scale. The frozen trunk also lets every epoch
-    reuse one cached forward pass per image. The returned checkpoint holds
-    only the ``rpn.*`` parameters; the trunk stays in ``maen_ckpt``.
+    reuse the one pass per image that ``table`` (a ``pseudo_box_table``, built
+    here when not given) cached. The returned checkpoint holds only the
+    ``rpn.*`` parameters; the trunk stays in ``maen_ckpt``.
     """
     ad.enable_buffer_reuse()
     log = log_fn or (lambda line: None)
     tc, bc, ac = config.train, config.backbone, config.anchor
-    images = _check_view(view, config)
     n = len(view)
-    trunk = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
-    if boxes is None:
-        boxes = pseudo_box_table(images, trunk, config)
+    if table is None:
+        table = pseudo_box_table(view, config, maen_ckpt)
 
     rng_init = _rng(config, _S_INIT_DLN)
     rng_sample = _rng(config, _S_SAMPLE_RPN)
@@ -149,11 +154,8 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
 
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
-    batches = [rpn.label_anchors(anchors, list(boxes[i].values()), ac, rng_sample)
-               for i in range(n)]
-    with ad.no_grad():
-        late_maps = [bb.stage_forward(trunk, Tensor(images[i : i + 1]), bc)[-1].data
-                     for i in range(n)]
+    batches = [rpn.label_anchors(anchors, list(boxes.values()), ac, rng_sample)
+               for boxes, _ in table]
 
     opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
     for epoch in range(tc.epochs_rpn):
@@ -165,7 +167,7 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
         for i in perm:
             batch = batches[i]
             batch.sampled = rpn.sample_for_loss(batch.labels, ac, rng_sample)
-            probs, deltas = rpn.rpn_forward(params, Tensor(late_maps[i]), ac)
+            probs, deltas = rpn.rpn_forward(params, table[i][1], ac)
             loss = rpn.rpn_loss(probs, deltas, batch, ac)
             opt.zero_grad()
             ad.backward(loss)
@@ -180,18 +182,17 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
 
 def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
                 dln_ckpt: bb.Checkpoint, log_fn=None,
-                boxes: list | None = None) -> dict:
-    """Stage 3: per-level heads over frozen shared features and frozen proposals."""
+                table: list | None = None) -> dict:
+    """Stage 3: per-level heads over frozen shared features and frozen proposals,
+    both read from ``table``'s cached maps (built here when not given)."""
     ad.enable_buffer_reuse()
     log = log_fn or (lambda line: None)
     tc, bc, ac, hc = config.train, config.backbone, config.anchor, config.head
-    images = _check_view(view, config)
     labels = view.labels
     n = len(view)
     image_size = bc.input_size
-    trunk = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
-    if boxes is None:
-        boxes = pseudo_box_table(images, trunk, config)
+    if table is None:
+        table = pseudo_box_table(view, config, maen_ckpt)
 
     rng_init = _rng(config, _S_INIT_HEADS)
     rng_sample = _rng(config, _S_SAMPLE_HEADS)
@@ -200,14 +201,11 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
     rpn_params = bb.checkpoint_to_params(dln_ckpt, requires_grad=False)
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
-    late_maps = []
     proposal_cache = []
     with ad.no_grad():
-        for i in range(n):
-            late = bb.stage_forward(trunk, Tensor(images[i : i + 1]), bc)[-1]
+        for _, late in table:
             probs, deltas = rpn.rpn_forward(rpn_params, late, ac)
             props = rpn.propose(probs, deltas, anchors, ac, image_size)
-            late_maps.append(late.data[0])
             proposal_cache.append([box for box, _ in props])
 
     shared_channels = bc.stage_channels[-1]
@@ -226,11 +224,12 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
         loss_sum = 0.0
         hit = total = 0
         for i in perm:
+            boxes, late = table[i]
             for level in bc.tap_levels:
                 rois, cls_t, delta_t, fg = hd.head_targets(
-                    proposal_cache[i], boxes[i][level], int(labels[i]), hc,
+                    proposal_cache[i], boxes[level], int(labels[i]), hc,
                     rng_sample, image_size)
-                pooled = hd.roi_pool_batch(late_maps[i], rois, stride, hc.roi_out)
+                pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
                 scores, deltas = hd.head_forward(params[level], pooled, hc)
                 loss = hd.head_loss(scores, deltas, cls_t, delta_t, fg)
                 opts[level].zero_grad()
@@ -248,10 +247,9 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
 def train_stagewise(view, config: RunConfig, log_fn=None) -> TrainedModel:
     """All three stages in order over a training view (images and labels only)."""
     maen_ckpt = train_maen(view, config, log_fn)
-    images = _check_view(view, config)
-    boxes = pseudo_box_table(images, bb.checkpoint_to_params(maen_ckpt, False), config)
-    dln_ckpt = train_rpn(view, config, maen_ckpt, log_fn, boxes=boxes)
-    head_ckpts = train_heads(view, config, maen_ckpt, dln_ckpt, log_fn, boxes=boxes)
+    table = pseudo_box_table(view, config, maen_ckpt)
+    dln_ckpt = train_rpn(view, config, maen_ckpt, log_fn, table=table)
+    head_ckpts = train_heads(view, config, maen_ckpt, dln_ckpt, log_fn, table=table)
     return TrainedModel(maen_ckpt, dln_ckpt, head_ckpts, config)
 
 
@@ -287,17 +285,23 @@ def _propose_boxes(model: TrainedModel, late, image_size):
     return [box for box, _ in props] or [whole_image_box(image_size)]
 
 
-def _infer(image, model: TrainedModel, groups) -> hd.Prediction:
-    """One trunk pass and one proposal pass per group of levels, whose heads
-    all read that pass's map; the groups cover ``model.levels`` in order."""
+def _trunk(image, model: TrainedModel) -> Tensor:
+    """The last stage output [1,C,h,w] of one image."""
+    with ad.no_grad():
+        return bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]),
+                                model.config.backbone)[-1]
+
+
+def _infer(model: TrainedModel, groups) -> hd.Prediction:
+    """One proposal pass per (levels, last stage output) group, whose heads
+    all read that map; the groups cover ``model.levels`` in order."""
     bc = model.config.backbone
     image_size = bc.input_size
     stride = bc.tap_stride("late")
     per_level = {}
     fulls = []
     with ad.no_grad():
-        for levels in groups:
-            late = bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]), bc)[-1]
+        for levels, late in groups:
             boxes = _propose_boxes(model, late, image_size)
             rois = boxes + [whole_image_box(image_size)]
             pooled = hd.roi_pool_batch(late.data[0], rois, stride, model.config.head.roi_out)
@@ -314,18 +318,18 @@ def _infer(image, model: TrainedModel, groups) -> hd.Prediction:
 
 def infer(image, model: TrainedModel) -> hd.Prediction:
     """One shared backbone pass, one proposal pass, all heads on the same map."""
-    return _infer(image, model, [model.levels])
+    return _infer(model, [(model.levels, _trunk(image, model))])
 
 
 def infer_separate(image, model: TrainedModel) -> hd.Prediction:
     """Reference mode: one full network pass per level (no feature sharing)."""
-    return _infer(image, model, [(level,) for level in model.levels])
+    return _infer(model, [((level,), _trunk(image, model)) for level in model.levels])
 
 
 def maen_pseudo_box(image, model: TrainedModel, level: str = "cam") -> att.Box:
     """The classification network's direct pseudo box for one image."""
-    return dict(att.pseudo_boxes(np.asarray(image), model.maen_params,
-                                 model.config.backbone))[level]
+    boxes, _ = att.pseudo_boxes(np.asarray(image), model.maen_params, model.config.backbone)
+    return dict(boxes)[level]
 
 
 # ---------------------------------------------------------------------------

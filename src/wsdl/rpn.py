@@ -44,6 +44,11 @@ class AnchorConfig:
                 f"{len(self.scales)} x {len(self.ratios)}")
         if not 0.0 <= self.neg_iou < self.pos_iou <= 1.0:
             raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}")
+        if not 0.0 <= self.nms_iou <= 1.0:
+            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
+        for name in ("pre_nms_top", "post_nms_top", "anchors_per_image_sampled", "rpn_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def anchors_per_cell(self) -> int:
@@ -202,20 +207,23 @@ def label_anchors(anchors: np.ndarray, pseudo_boxes: list, config: AnchorConfig,
 
 def sample_for_loss(labels: np.ndarray, config: AnchorConfig,
                     rng: np.random.Generator) -> np.ndarray:
-    """Pick at most ``anchors_per_image_sampled`` anchors, 1:1 pos:neg where possible.
-
-    A shortfall on either side is filled from the other, so the cap is reached
-    whenever enough labeled anchors exist.
-    """
-    pos = np.flatnonzero(labels == POSITIVE)
-    neg = np.flatnonzero(labels == NEGATIVE)
+    """Pick at most ``anchors_per_image_sampled`` anchors, 1:1 pos:neg where possible."""
     cap = config.anchors_per_image_sampled
-    n_pos = min(len(pos), cap // 2)
-    n_neg = min(len(neg), cap - n_pos)
-    n_pos = min(len(pos), cap - n_neg)
+    return sample_quota(np.flatnonzero(labels == POSITIVE), np.flatnonzero(labels == NEGATIVE),
+                        cap // 2, cap, rng)
+
+
+def sample_quota(first: np.ndarray, second: np.ndarray, want_first: int, cap: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """At most ``cap`` indices drawn without replacement, ``want_first`` of them
+    from ``first`` where possible and a shortfall on either side filled from
+    the other; ``first`` is drawn first and its indices come first."""
+    n_first = min(len(first), want_first)
+    n_second = min(len(second), cap - n_first)
+    n_first = min(len(first), cap - n_second)
     return np.concatenate([
-        rng.choice(pos, size=n_pos, replace=False) if n_pos else np.empty(0, dtype=np.int64),
-        rng.choice(neg, size=n_neg, replace=False) if n_neg else np.empty(0, dtype=np.int64),
+        rng.choice(first, size=n_first, replace=False) if n_first else np.empty(0, dtype=np.int64),
+        rng.choice(second, size=n_second, replace=False) if n_second else np.empty(0, dtype=np.int64),
     ]).astype(np.int64)
 
 

@@ -171,7 +171,7 @@ def small_cfg():
 def test_pseudo_boxes_cardinality_and_bounds(small_cfg):
     params = bb.init_maen_params(small_cfg, np.random.default_rng(6))
     image = np.random.default_rng(7).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
-    boxes = att.pseudo_boxes(image, params, small_cfg)
+    boxes, _ = att.pseudo_boxes(image, params, small_cfg)
     assert [level for level, _ in boxes] == list(small_cfg.tap_levels)
     for _, box in boxes:
         assert 0.0 <= box.x_min < box.x_max <= 64.0
@@ -183,7 +183,7 @@ def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
     for p in params.values():
         p.data[...] = 0.0
     image = np.random.default_rng(9).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
-    boxes = att.pseudo_boxes(image, params, small_cfg)
+    boxes, _ = att.pseudo_boxes(image, params, small_cfg)
     for _, box in boxes:
         assert box == att.whole_image_box(small_cfg.input_size)
 

@@ -188,11 +188,11 @@ def test_sgd_step_allows_partial_gradients():
 
 def test_optimstate_validation():
     with pytest.raises(ValueError):
-        ad.OptimState(learning_rate=-1.0)
+        ad.SGD({}, learning_rate=-1.0)
     with pytest.raises(ValueError):
-        ad.OptimState(learning_rate=0.1, momentum=1.0)
+        ad.SGD({}, learning_rate=0.1, momentum=1.0)
     with pytest.raises(ValueError):
-        ad.OptimState(learning_rate=0.1, weight_decay=-0.1)
+        ad.SGD({}, learning_rate=0.1, weight_decay=-0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -81,3 +81,27 @@ def test_sync_derived_rejects_bad_head_fractions(key, raw):
     cfg.set_key(key, raw)
     with pytest.raises(ValueError, match=key):
         cfg.sync_derived()
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("pre_nms_top", "0"), ("post_nms_top", "0"), ("anchors_per_image_sampled", "0"),
+    ("rpn_channels", "0"), ("nms_iou", "-0.1"), ("nms_iou", "1.5"),
+    ("rois_per_image", "0"), ("hidden", "0"), ("roi_out", "0,4"), ("roi_out", "4,0"),
+])
+def test_sync_derived_rejects_bad_anchor_and_head_counts(key, raw):
+    cfg = RunConfig.default()
+    cfg.set_key(key, raw)
+    with pytest.raises(ValueError, match=key):
+        cfg.sync_derived()
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("pre_nms_top", "1"), ("post_nms_top", "1"), ("anchors_per_image_sampled", "1"),
+    ("rpn_channels", "1"), ("nms_iou", "0.0"), ("nms_iou", "1.0"),
+    ("rois_per_image", "1"), ("hidden", "1"), ("roi_out", "1,1"),
+])
+def test_sync_derived_accepts_range_ends_and_defaults(key, raw):
+    cfg = RunConfig.default()
+    cfg.sync_derived()
+    cfg.set_key(key, raw)
+    cfg.sync_derived()

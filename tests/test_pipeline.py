@@ -1,4 +1,5 @@
 import builtins
+import math
 import os
 import re
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from wsdl import backbone as bb
+from wsdl import evaluate as ev
 from wsdl import pipeline as pl
 from wsdl import rpn
 from wsdl import synthdata as sd
@@ -63,6 +65,23 @@ def test_same_seed_gives_identical_checkpoints(tmp_path):
         assert list(a.params) == list(b.params)
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name]), name
+
+
+def test_training_makes_one_trunk_pass_per_image_after_stage1(tmp_path, monkeypatch):
+    cfg = tiny_config(train_count=20, test_count=4)
+    sd.generate_dataset(cfg.gen, tmp_path)
+    view = sd.TrainView(os.path.join(tmp_path, "train"))
+    passes = _trunk_passes(monkeypatch)
+    pl.train_stagewise(view, cfg)
+    n, tc = len(view), cfg.train
+    assert len(passes) == tc.epochs_maen * math.ceil(n / tc.batch_maen) + n
+
+
+def test_evaluate_makes_one_trunk_pass_per_image(tiny_setup, monkeypatch):
+    test_dir = os.path.join(tiny_setup.data, "test")
+    passes = _trunk_passes(monkeypatch)
+    ev.evaluate_model(tiny_setup.model, test_dir)
+    assert len(passes) == len(sd.TrainView(test_dir))
 
 
 def test_training_never_reads_annotations(tmp_path, monkeypatch):
