@@ -218,24 +218,48 @@ def relu(x: Tensor) -> Tensor:
     return _make(y, (x,), grad_fn)
 
 
+# the four elements of a 2x2 window as strided views, in row-major window order
+_WINDOW = (np.s_[:, :, ::2, ::2], np.s_[:, :, ::2, 1::2],
+           np.s_[:, :, 1::2, ::2], np.s_[:, :, 1::2, 1::2])
+
+
 def max_pool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; gradient routes to the first max in row-major window order."""
+    """2x2 max pooling with stride 2.
+
+    Forward: the elementwise max of the four stride-2 views, which is each
+    window's first max in row-major order, bit for bit: of tied signed zeros
+    the first one's sign is kept. A window that holds a NaN pools to NaN,
+    with the bits of one of its NaNs. Backward: each window's gradient goes
+    whole to that first max (to the first NaN in a NaN window); the other
+    three elements get +0.
+    """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects [N,C,H,W], got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d needs even extents, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    # np.maximum returns its second operand on a tie, so folding from the last
+    # view to the first keeps the earliest of tied signed zeros
+    y = np.maximum(xd[_WINDOW[3]], xd[_WINDOW[2]])
+    np.maximum(y, xd[_WINDOW[1]], out=y)
+    np.maximum(y, xd[_WINDOW[0]], out=y)
 
     def grad_fn(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = gw.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        # copy each window's gradient bits into its first max and zero bits
+        # elsewhere: an integer multiply by the 0/1 mask is exact even for
+        # non-finite gradients, where a float select would be several times slower
+        uint = np.dtype(f"u{xd.itemsize}")
+        gbits = np.asarray(g, dtype=xd.dtype).view(uint)
+        gx = np.empty_like(xd)
+        gx_bits = gx.view(uint)
+        free = np.ones(y.shape, dtype=bool)  # windows whose first max is still ahead
+        for view in _WINDOW:
+            v = xd[view]
+            hit = (v == y) | np.isnan(v)
+            hit &= free
+            free ^= hit
+            np.multiply(gbits, hit, out=gx_bits[view])
         return (gx,)
 
     return _make(y, (x,), grad_fn)

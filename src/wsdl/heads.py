@@ -1,19 +1,21 @@
 """RoI pooling, per-level localization heads, and score fusion.
 
-Every head reads the one shared stride-8 feature map: a proposal box is
-max-pooled into a fixed 4x4 grid, flattened, divided by its RMS, and pushed
-through a small two-branch MLP giving (C+1)-way class scores (background
-last) and a class-agnostic box refinement. Each head also scores the
-whole-image box, which it is trained to classify as the image's class. At
-inference each head contributes the renormalized foreground scores of its
-most confident proposal and of the whole-image box; the final class is the
-arithmetic mean of the head vectors and the full-image score vector (the
-mean of the heads' whole-image scores).
+Every head reads the one shared stride-8 feature map. An image's RoIs, its
+proposals and the whole-image box, form one [R,4] box table; ``roi_pool_batch``
+max-pools every row into a fixed 4x4 grid with one gather over the map
+(``roi_pool`` and ``project_box_to_grid`` are its single-box forms). Each
+pooled RoI is flattened, divided by its RMS, and pushed through a small
+two-branch MLP giving (C+1)-way class scores (background last) and a
+class-agnostic box refinement. Each head also scores the whole-image box,
+which it is trained to classify as the image's class. At inference each head
+contributes the renormalized foreground scores of its most confident proposal
+and of the whole-image box; the final class is the arithmetic mean of the head
+vectors and the full-image score vector (the mean of the heads' whole-image
+scores).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,42 +73,80 @@ class Prediction:
 # RoI pooling
 
 
+def _grid_cells(rois, stride: int, grid_h: int, grid_w: int) -> np.ndarray:
+    """[R,4] image boxes -> [R,4] int64 cell ranges (x0, y0, x1, y1), half-open.
+
+    Each box is divided by the stride, rounded outward, clamped to the grid
+    and kept at least one cell wide and high. Raises ``ValueError`` naming the
+    first row that is non-finite, has no positive extent or lies fully outside
+    the grid.
+    """
+    rois = np.asarray(rois, dtype=np.float64)
+    if rois.ndim != 2 or rois.shape[1] != 4 or len(rois) == 0:
+        raise ValueError(f"RoI table must be [R,4] with R >= 1, got shape {rois.shape}")
+    lo, hi = rois[:, :2], rois[:, 2:]
+    grid = np.array([grid_w, grid_h])
+    finite = np.isfinite(rois).all(axis=1)
+    extent = (hi > lo).all(axis=1)
+    inside = ((lo < grid * stride) & (hi > 0)).all(axis=1)
+    valid = finite & extent & inside
+    if not valid.all():
+        row = int(np.argmin(valid))
+        reason = ("is not finite" if not finite[row] else
+                  "has no positive extent" if not extent[row] else
+                  f"lies fully outside the {grid_h}x{grid_w} grid")
+        raise ValueError(f"RoI row {row} {rois[row].tolist()} {reason}")
+    lo_cell = np.clip(np.floor(lo / stride), 0, grid - 1)
+    hi_cell = np.maximum(np.minimum(np.ceil(hi / stride), grid), lo_cell + 1)
+    return np.concatenate([lo_cell, hi_cell], axis=1).astype(np.int64)
+
+
 def project_box_to_grid(box: Box, stride: int, grid_h: int, grid_w: int):
-    """Image box -> inclusive cell range: divide by stride, round outward, clamp to >= 1 cell."""
-    if box.x_min >= grid_w * stride or box.x_max <= 0 or \
-       box.y_min >= grid_h * stride or box.y_max <= 0:
-        raise ValueError(f"box {box} lies fully outside the {grid_h}x{grid_w} grid")
-    x0 = min(max(int(math.floor(box.x_min / stride)), 0), grid_w - 1)
-    y0 = min(max(int(math.floor(box.y_min / stride)), 0), grid_h - 1)
-    x1 = max(min(int(math.ceil(box.x_max / stride)), grid_w), x0 + 1)
-    y1 = max(min(int(math.ceil(box.y_max / stride)), grid_h), y0 + 1)
-    return x0, y0, x1, y1
+    """One image box -> its half-open cell range (x0, y0, x1, y1), as ints."""
+    return tuple(int(v) for v in _grid_cells(box.as_array()[None], stride, grid_h, grid_w)[0])
 
 
-def roi_pool(features: np.ndarray, box: Box, stride: int, roi_out=(4, 4)) -> np.ndarray:
-    """Max pool a [C,h,w] slab over the box into [C, roi_out] bins.
+def _bin_cells(start: np.ndarray, length: np.ndarray, bins: int) -> np.ndarray:
+    """[R] cell ranges -> [k,R,bins]: the cells of each proportional bin along one axis.
 
-    Bin edges come from proportional rounding (floor/ceil), which never
-    leaves a bin empty for a region of at least one cell.
+    Bin i spans [start + floor(i*len/bins), start + ceil((i+1)*len/bins)),
+    never empty for a range of at least one cell. ``k`` is the widest bin; a
+    narrower bin repeats its last cell.
+    """
+    i = np.arange(bins)
+    lo = start[:, None] + (i * length[:, None]) // bins
+    hi = start[:, None] - (-(i + 1) * length[:, None]) // bins
+    k = int((hi - lo).max())
+    return np.minimum(lo + np.arange(k)[:, None, None], hi - 1)
+
+
+def roi_pool_batch(features: np.ndarray, rois, stride: int, roi_out=(4, 4)) -> np.ndarray:
+    """Max pool a [C,h,w] map over every row of an [R,4] box table: [R,C,oh,ow].
+
+    Each box is projected to grid cells as ``project_box_to_grid`` does and
+    split into ``roi_out`` bins by proportional rounding. Every bin of every
+    box is read in one gather from a channel-last copy of the map, padded to
+    the widest bin by repeating each bin's last row and column, and reduced by
+    one max over the padded window. The result is exact and keeps the map's
+    dtype. Raises ``ValueError`` naming the first row that is non-finite, has
+    no positive extent or lies fully outside the grid.
     """
     features = np.asarray(features)
     c, h, w = features.shape
-    x0, y0, x1, y1 = project_box_to_grid(box, stride, h, w)
+    x0, y0, x1, y1 = _grid_cells(rois, stride, h, w).T
     oh, ow = roi_out
-    rh, rw = y1 - y0, x1 - x0
-    out = np.empty((c, oh, ow), dtype=features.dtype)
-    for i in range(oh):
-        r0 = y0 + (i * rh) // oh
-        r1 = y0 + -((-(i + 1) * rh) // oh)  # ceil
-        for j in range(ow):
-            c0 = x0 + (j * rw) // ow
-            c1 = x0 + -((-(j + 1) * rw) // ow)
-            out[:, i, j] = features[:, r0:r1, c0:c1].max(axis=(1, 2))
-    return out
+    rows = _bin_cells(y0, y1 - y0, oh)                             # [kr,R,oh]
+    cols = _bin_cells(x0, x1 - x0, ow)                             # [kc,R,ow]
+    cells = rows[:, None, :, :, None] * w + cols[None, :, :, None, :]
+    cells = cells.reshape(-1, len(x0), oh, ow)                     # [kr*kc,R,oh,ow]
+    pixels = np.ascontiguousarray(features.reshape(c, h * w).T)    # [h*w,C]
+    pooled = pixels[cells].max(axis=0)                             # [R,oh,ow,C]
+    return np.ascontiguousarray(pooled.transpose(0, 3, 1, 2))
 
 
-def roi_pool_batch(features: np.ndarray, boxes: list, stride: int, roi_out=(4, 4)) -> np.ndarray:
-    return np.stack([roi_pool(features, b, stride, roi_out) for b in boxes])
+def roi_pool(features: np.ndarray, box: Box, stride: int, roi_out=(4, 4)) -> np.ndarray:
+    """One box's [C,oh,ow] bins: ``roi_pool_batch`` over a one-row table."""
+    return roi_pool_batch(features, box.as_array()[None], stride, roi_out)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,11 @@ def _check_view(view, config: RunConfig) -> np.ndarray:
     return np.stack(view.images)
 
 
+def _box_table(boxes: list) -> np.ndarray:
+    """Boxes as the [R,4] corner table that ``hd.roi_pool_batch`` reads."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64)
+
+
 def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
     """Per training image: (level -> pseudo box, last stage output), from one
     pass of the frozen classification network."""
@@ -229,7 +234,7 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
                 rois, cls_t, delta_t, fg = hd.head_targets(
                     proposal_cache[i], boxes[level], int(labels[i]), hc,
                     rng_sample, image_size)
-                pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
+                pooled = hd.roi_pool_batch(late.data[0], _box_table(rois), stride, hc.roi_out)
                 scores, deltas = hd.head_forward(params[level], pooled, hc)
                 loss = hd.head_loss(scores, deltas, cls_t, delta_t, fg)
                 opts[level].zero_grad()
@@ -303,7 +308,7 @@ def _infer(model: TrainedModel, groups) -> hd.Prediction:
     with ad.no_grad():
         for levels, late in groups:
             boxes = _propose_boxes(model, late, image_size)
-            rois = boxes + [whole_image_box(image_size)]
+            rois = _box_table(boxes + [whole_image_box(image_size)])
             pooled = hd.roi_pool_batch(late.data[0], rois, stride, model.config.head.roi_out)
             for level in levels:
                 pred, full = _head_contribution(model, level, pooled, boxes, image_size)

@@ -120,11 +120,6 @@ def iou_matrix(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.where(inter > 0, inter / union, 0.0)
 
 
-def encode_box(box, anchor) -> np.ndarray:
-    """(tx, ty, tw, th) of a target box relative to an anchor."""
-    return encode_boxes(np.asarray([_as_corners(box)]), np.asarray([_as_corners(anchor)]))[0]
-
-
 def _as_corners(box) -> np.ndarray:
     if isinstance(box, Box):
         return box.as_array()
@@ -132,6 +127,7 @@ def _as_corners(box) -> np.ndarray:
 
 
 def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """(tx, ty, tw, th) of each [N,4] target box relative to its [N,4] anchor."""
     boxes = np.asarray(boxes, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     bw, bh = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]

@@ -7,6 +7,17 @@ from wsdl import pipeline as pl
 from wsdl import synthdata as sd
 from wsdl.config import RunConfig
 
+# PASS/FAIL lines of the acceptance criteria, in the order they ran; shown in
+# the terminal summary so that a passing run prints its figures too
+ACCEPTANCE_LINES = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 def tiny_config(**overrides) -> RunConfig:
     """A fast 3-class configuration for contract tests (accuracy irrelevant)."""

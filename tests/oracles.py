@@ -44,6 +44,25 @@ def window_max_pool(x):
     return out
 
 
+def argmax_max_pool(x):
+    """2x2/stride-2 pooling by ``np.argmax`` over each window in row-major order.
+
+    Returns the pooled values, each the picked element itself, and a boolean
+    mask of the picked elements. ``np.argmax`` picks a window's first NaN, or
+    else its first maximum.
+    """
+    x = np.asarray(x)
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+    picked = np.zeros(x.shape, dtype=bool)
+    for b, ch, i, j in np.ndindex(out.shape):
+        k = int(np.argmax(x[b, ch, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].reshape(4)))
+        pos = (b, ch, 2 * i + k // 2, 2 * j + k % 2)
+        out[b, ch, i, j] = x[pos]
+        picked[pos] = True
+    return out, picked
+
+
 def finite_difference(f, x, h=1e-5):
     """Central finite differences of scalar-valued f over every element of x."""
     g = np.zeros_like(x, dtype=np.float64)
@@ -169,6 +188,16 @@ def nms_bruteforce(boxes, scores, thresh):
         if all(_iou_plain(boxes[i], boxes[j]) <= thresh for j in kept):
             kept.append(i)
     return kept
+
+
+def grid_box_direct(box, stride, grid_h, grid_w):
+    """Image box (x_min, y_min, x_max, y_max) -> cell range: divide by the stride,
+    round outward, clamp to the grid, keep at least one cell."""
+    x0 = min(max(math.floor(box[0] / stride), 0), grid_w - 1)
+    y0 = min(max(math.floor(box[1] / stride), 0), grid_h - 1)
+    x1 = max(min(math.ceil(box[2] / stride), grid_w), x0 + 1)
+    y1 = max(min(math.ceil(box[3] / stride), grid_h), y0 + 1)
+    return x0, y0, x1, y1
 
 
 def roi_pool_direct(features, grid_box, out_h, out_w):

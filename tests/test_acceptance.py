@@ -1,4 +1,4 @@
-"""Acceptance gate: one test per criterion, one printed pass/fail line each.
+"""Acceptance gate: one test per criterion, one summary line each.
 
 The desk-scale run (default configuration: 8 classes, 800/200 images, seed 7)
 trains once per session; criteria 3-7 read its artifacts. Run with
@@ -7,7 +7,6 @@ trains once per session; criteria 3-7 read its artifacts. Run with
 
 import builtins
 import os
-import sys
 import time
 from types import SimpleNamespace
 
@@ -25,7 +24,7 @@ from wsdl.attention import Box
 from wsdl.autodiff import Tensor
 from wsdl.config import RunConfig
 
-from conftest import tiny_config
+from conftest import ACCEPTANCE_LINES, tiny_config
 from oracles import (
     finite_difference,
     flood_fill_bbox,
@@ -43,7 +42,7 @@ ORACLE_TRIALS = 1000
 
 def _report(criterion: str, passed: bool, detail: str):
     line = f"{'PASS' if passed else 'FAIL'} {criterion}: {detail}"
-    print(line, file=sys.__stdout__, flush=True)
+    ACCEPTANCE_LINES.append(line)
     assert passed, line
 
 

@@ -6,7 +6,8 @@ import pytest
 from wsdl import autodiff as ad
 from wsdl.autodiff import Tensor
 
-from oracles import conv2d_direct, finite_difference, gradient_mismatch, window_max_pool
+from oracles import (argmax_max_pool, conv2d_direct, finite_difference, gradient_mismatch,
+                     window_max_pool)
 
 GRAD_TOL = 1e-4
 
@@ -78,6 +79,69 @@ def test_max_pool_examples():
 
     with pytest.raises(ad.ShapeError):
         ad.max_pool2d(t(np.zeros((1, 1, 3, 4)), grad=False))
+
+
+def _bits(a):
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+def _pool_and_grad(x):
+    """max_pool2d of x with a random upstream gradient: (pooled, grad of x, upstream)."""
+    xt = Tensor(x, requires_grad=True)
+    out = ad.max_pool2d(xt)
+    g = np.random.default_rng(3).normal(size=out.shape).astype(x.dtype)
+    ad.backward(ad.sum_all(ad.mul_const(out, g)))
+    return out.data, xt.grad, g
+
+
+def _routed(picked, g):
+    """The gradient that sends each window's g to its picked element, +0 elsewhere."""
+    return np.where(picked, g.repeat(2, axis=2).repeat(2, axis=3), 0).astype(g.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_ties_route_to_first_max(dtype):
+    rng = np.random.default_rng(11)
+    cases = [np.full((2, 3, 4, 6), 1.5), np.zeros((1, 2, 4, 4)),
+             rng.integers(0, 3, size=(2, 3, 6, 8)), rng.integers(-2, 2, size=(3, 4, 16, 32))]
+    for x in cases:
+        x = x.astype(dtype)
+        out, gx, g = _pool_and_grad(x)
+        want, picked = argmax_max_pool(x)
+        assert np.array_equal(_bits(out), _bits(want))
+        assert np.array_equal(_bits(gx), _bits(_routed(picked, g)))
+    # all-equal windows: every gradient lands on the window's top-left element
+    _, gx, g = _pool_and_grad(np.full((1, 1, 4, 4), 2.0, dtype=dtype))
+    assert np.array_equal(gx[0, 0, ::2, ::2], g[0, 0])
+    assert not gx[0, 0, 1::2].any() and not gx[0, 0, :, 1::2].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 4, 6), (2, 4, 32, 64)])
+def test_max_pool_signed_zeros_and_nans_match_argmax_bitwise(dtype, shape):
+    rng = np.random.default_rng(12)
+    x = rng.choice(np.array([-0.0, 0.0, np.nan, -1.0, 0.5]), size=shape).astype(dtype)
+    out, gx, g = _pool_and_grad(x)
+    want, picked = argmax_max_pool(x)
+    assert np.array_equal(_bits(out), _bits(want))
+    assert np.array_equal(_bits(gx), _bits(_routed(picked, g)))
+
+
+def test_max_pool_nan_window_gradient_goes_to_first_nan():
+    nan = np.nan
+    x = np.array([[[[1.0, nan, 9.0, 9.0],
+                    [nan, 5.0, 9.0, nan],
+                    [nan, nan, -0.0, 0.0],
+                    [nan, nan, 0.0, -0.0]]]])
+    out, gx, g = _pool_and_grad(x)
+    assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 0, 0, 1]) and np.isnan(out[0, 0, 1, 0])
+    assert np.signbit(out[0, 0, 1, 1])  # the first zero, -0.0, is the picked max
+    expected = np.zeros_like(x)
+    expected[0, 0, 0, 1] = g[0, 0, 0, 0]
+    expected[0, 0, 1, 3] = g[0, 0, 0, 1]
+    expected[0, 0, 2, 0] = g[0, 0, 1, 0]
+    expected[0, 0, 2, 2] = g[0, 0, 1, 1]
+    assert np.array_equal(_bits(gx), _bits(expected))
 
 
 def test_global_avg_pool_examples():

@@ -7,7 +7,7 @@ from wsdl import rpn
 from wsdl.attention import Box
 from wsdl.autodiff import Tensor
 
-from oracles import finite_difference, gradient_mismatch, roi_pool_direct
+from oracles import finite_difference, gradient_mismatch, grid_box_direct, roi_pool_direct
 
 
 @pytest.fixture
@@ -82,6 +82,70 @@ def test_roi_pool_outside_grid_rejected():
     fmap = np.zeros((1, 8, 8))
     with pytest.raises(ValueError):
         heads.roi_pool(fmap, Box(70, 70, 80, 80), stride=8)
+
+
+def _random_table(rng, h, w, stride):
+    """An [R,4] table of fractional boxes: random ones, the whole image, one-cell
+    boxes and boxes that cross the border."""
+    r = int(rng.integers(1, 21))
+    ih, iw = h * stride, w * stride
+    kinds = rng.integers(0, 4, size=r)
+    rows = []
+    for kind in kinds:
+        if kind == 0:    # anywhere, fractional
+            x0, y0 = rng.uniform(0, iw - 0.5), rng.uniform(0, ih - 0.5)
+            rows.append([x0, y0, rng.uniform(x0 + 0.25, iw), rng.uniform(y0 + 0.25, ih)])
+        elif kind == 1:  # the whole image
+            rows.append([0.0, 0.0, float(iw), float(ih)])
+        elif kind == 2:  # inside one cell
+            cx, cy = rng.integers(0, w), rng.integers(0, h)
+            a, b = np.sort(rng.uniform(0, stride, size=2)), np.sort(rng.uniform(0, stride, size=2))
+            rows.append([cx * stride + a[0], cy * stride + b[0],
+                         cx * stride + max(a[1], a[0] + 0.1), cy * stride + max(b[1], b[0] + 0.1)])
+        else:            # crosses the border on some side
+            x0, y0 = rng.uniform(-3 * stride, iw - 1), rng.uniform(-3 * stride, ih - 1)
+            rows.append([x0, y0, rng.uniform(max(x0, 0) + 0.5, iw + 3 * stride),
+                         rng.uniform(max(y0, 0) + 0.5, ih + 3 * stride)])
+    return np.array(rows)
+
+
+def test_roi_pool_batch_matches_direct_oracle_row_by_row():
+    rng = np.random.default_rng(21)
+    stride = 8
+    for trial in range(60):
+        h, w = (int(v) for v in rng.integers(2, 11, size=2))
+        c = int(rng.integers(1, 71))
+        oh, ow = (int(v) for v in rng.integers(1, 6, size=2))
+        dtype = np.float64 if trial % 2 else np.float32
+        fmap = rng.normal(size=(c, h, w)).astype(dtype)
+        table = _random_table(rng, h, w, stride)
+        out = heads.roi_pool_batch(fmap, table, stride, (oh, ow))
+        assert out.shape == (len(table), c, oh, ow) and out.dtype == dtype
+        for row, got in zip(table, out):
+            want = roi_pool_direct(fmap, grid_box_direct(row, stride, h, w), oh, ow)
+            assert np.array_equal(got, want.astype(dtype))
+            assert np.array_equal(heads.roi_pool(fmap, Box(*row), stride, (oh, ow)), got)
+
+
+@pytest.mark.parametrize("bad", [
+    [70.0, 70.0, 80.0, 80.0],           # below and right of the 8x8 grid
+    [-20.0, 5.0, -1.0, 30.0],           # left of it
+    [np.nan, 0.0, 10.0, 10.0],
+    [0.0, 0.0, np.inf, 10.0],
+    [10.0, 5.0, 10.0, 30.0],            # zero width
+    [5.0, 30.0, 20.0, 12.0],            # negative height
+])
+def test_roi_pool_batch_rejects_bad_row_by_index(bad):
+    fmap = np.zeros((2, 8, 8))
+    table = np.array([[0.0, 0.0, 64.0, 64.0], [8.0, 8.0, 24.0, 40.0], bad, [1.0, 1.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match="row 2 "):
+        heads.roi_pool_batch(fmap, table, stride=8)
+
+
+@pytest.mark.parametrize("table", [np.zeros((0, 4)), np.zeros(4), np.zeros((3, 5))])
+def test_roi_pool_batch_rejects_malformed_table(table):
+    with pytest.raises(ValueError, match=r"\[R,4\]"):
+        heads.roi_pool_batch(np.zeros((1, 8, 8)), table, stride=8)
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,10 @@ def test_iou_matrix_matches_pairwise():
 
 
 def test_encode_examples():
-    anchor = Box(0, 0, 10, 10)
-    assert np.allclose(rpn.encode_box(anchor, anchor), np.zeros(4))
-    delta = rpn.encode_box(Box(0, 0, 20, 20), anchor)
-    assert np.allclose(delta, [0.5, 0.5, math.log(2), math.log(2)])
+    anchor = np.array([[0.0, 0, 10, 10]])
+    assert np.allclose(rpn.encode_boxes(anchor, anchor), np.zeros((1, 4)))
+    delta = rpn.encode_boxes(np.array([[0.0, 0, 20, 20]]), anchor)
+    assert np.allclose(delta, [[0.5, 0.5, math.log(2), math.log(2)]])
     with pytest.raises(ValueError):
         rpn.encode_boxes(np.array([[0.0, 0, 0, 5]]), np.array([[0.0, 0, 5, 5]]))
 
