@@ -49,8 +49,11 @@ class Box:
     def area(self) -> float:
         return self.width * self.height
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.x_max, self.y_max], dtype=np.float64)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The corner row (x_min, y_min, x_max, y_max), float64 unless ``dtype`` says
+        otherwise; ``np.asarray`` reads a Box as a [4] row and a list of them as [N,4]."""
+        return np.array([self.x_min, self.y_min, self.x_max, self.y_max],
+                        dtype=np.float64 if dtype is None else dtype)
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max

@@ -62,8 +62,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", help="classify and localize images")
     _add_common(p, "model")
-    p.add_argument("--image", action="append", default=None, help="PPM image (repeatable)")
-    p.add_argument("--data", default=None, help="dataset root; infers the test split")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--image", action="append", help="PPM image (repeatable)")
+    source.add_argument("--data", help="dataset root; infers the test split")
     p.set_defaults(handler=_cmd_infer)
 
     p = sub.add_parser("eval", help="evaluate a trained model on the test split")
@@ -151,7 +152,7 @@ def _prediction_json(name, pred) -> str:
         "fused_scores": [float(v) for v in pred.fused],
         "levels": {
             level: {
-                "box": list(lp.box.as_array()),
+                "box": list(np.asarray(lp.box)),
                 "scores": [float(v) for v in lp.scores],
             }
             for level, lp in pred.per_level.items()
@@ -162,16 +163,11 @@ def _prediction_json(name, pred) -> str:
 
 def _cmd_infer(args) -> int:
     model = pl.load_model(args.model)
-    inputs = []
     if args.image:
         inputs = [(path, sd.image_to_float(sd.read_ppm(path))) for path in args.image]
-    elif args.data:
-        test_dir = os.path.join(args.data, "test")
-        view = sd.TrainView(test_dir)
-        inputs = list(zip(view.filenames, view.images))
     else:
-        print("infer needs --image or --data", file=sys.stderr)
-        return 1
+        view = sd.TrainView(os.path.join(args.data, "test"))
+        inputs = list(zip(view.filenames, view.images))
     for name, image in inputs:
         print(_prediction_json(name, pl.infer(image, model)))
     return 0

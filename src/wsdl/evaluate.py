@@ -42,6 +42,8 @@ def accuracy(predictions, labels) -> float:
 def localization_accuracy(pred_boxes, gt_boxes, thresh: float = 0.5) -> float:
     pred_boxes = list(pred_boxes)
     gt_boxes = list(gt_boxes)
+    if not pred_boxes:
+        raise ValueError("localization_accuracy needs at least one box")
     if len(pred_boxes) != len(gt_boxes):
         raise ValueError(f"length mismatch: {len(pred_boxes)} vs {len(gt_boxes)} boxes")
     hits = sum(1 for p, g in zip(pred_boxes, gt_boxes) if rpn.iou(p, g) > thresh)
@@ -52,6 +54,8 @@ def pcl(pred_boxes, part_points):
     """Per-part and average fraction of part points inside the predicted boxes."""
     pred_boxes = list(pred_boxes)
     part_points = list(part_points)
+    if not pred_boxes:
+        raise ValueError("pcl needs at least one box")
     if len(pred_boxes) != len(part_points):
         raise ValueError(f"length mismatch: {len(pred_boxes)} boxes vs {len(part_points)} point sets")
     k = len(part_points[0])
@@ -202,6 +206,8 @@ def bench(model: pl.TrainedModel, images, mode: str, repeats: int = 5,
     ``shared`` runs the n-pathway once per image; ``separate`` runs one full
     network per level per image.
     """
+    if repeats < 1:
+        raise ValueError(f"bench needs repeats >= 1, got {repeats}")
     if len(images) < min_images:
         raise ValueError(f"bench needs at least {min_images} images, got {len(images)}")
     if mode == "shared":

@@ -1,17 +1,17 @@
 """RoI pooling, per-level localization heads, and score fusion.
 
-Every head reads the one shared stride-8 feature map. An image's RoIs, its
-proposals and the whole-image box, form one [R,4] box table; ``roi_pool_batch``
-max-pools every row into a fixed 4x4 grid with one gather over the map
-(``roi_pool`` and ``project_box_to_grid`` are its single-box forms). Each
-pooled RoI is flattened, divided by its RMS, and pushed through a small
-two-branch MLP giving (C+1)-way class scores (background last) and a
-class-agnostic box refinement. Each head also scores the whole-image box,
-which it is trained to classify as the image's class. At inference each head
-contributes the renormalized foreground scores of its most confident proposal
-and of the whole-image box; the final class is the arithmetic mean of the head
-vectors and the full-image score vector (the mean of the heads' whole-image
-scores).
+Every head reads the one shared stride-8 feature map. Boxes stay [N,4]
+float64 corner tables from the proposals to the pooled RoIs. An image's RoIs,
+its proposals and the whole-image box, form one [R,4] table (``roi_table``);
+``roi_pool_batch`` max-pools every row into a fixed 4x4 grid with one gather
+over the map (``roi_pool`` is its single-box form). Each pooled RoI is
+flattened, divided by its RMS, and pushed through a small two-branch MLP
+giving (C+1)-way class scores (background last) and a class-agnostic box
+refinement. Each head also scores the whole-image box, which it is trained
+to classify as the image's class. At inference each head contributes the
+renormalized foreground scores of its most confident proposal and of the
+whole-image box; the final class is the arithmetic mean of the head vectors
+and the full-image score vector (the mean of the heads' whole-image scores).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import rpn
-from .attention import Box, whole_image_box
+from .attention import Box
 from .autodiff import Tensor
 
 # added to a pooled RoI's RMS before dividing; keeps an all-zero RoI finite
@@ -101,11 +101,6 @@ def _grid_cells(rois, stride: int, grid_h: int, grid_w: int) -> np.ndarray:
     return np.concatenate([lo_cell, hi_cell], axis=1).astype(np.int64)
 
 
-def project_box_to_grid(box: Box, stride: int, grid_h: int, grid_w: int):
-    """One image box -> its half-open cell range (x0, y0, x1, y1), as ints."""
-    return tuple(int(v) for v in _grid_cells(box.as_array()[None], stride, grid_h, grid_w)[0])
-
-
 def _bin_cells(start: np.ndarray, length: np.ndarray, bins: int) -> np.ndarray:
     """[R] cell ranges -> [k,R,bins]: the cells of each proportional bin along one axis.
 
@@ -123,8 +118,9 @@ def _bin_cells(start: np.ndarray, length: np.ndarray, bins: int) -> np.ndarray:
 def roi_pool_batch(features: np.ndarray, rois, stride: int, roi_out=(4, 4)) -> np.ndarray:
     """Max pool a [C,h,w] map over every row of an [R,4] box table: [R,C,oh,ow].
 
-    Each box is projected to grid cells as ``project_box_to_grid`` does and
-    split into ``roi_out`` bins by proportional rounding. Every bin of every
+    Each box is divided by the stride, rounded outward to grid cells, clamped
+    to the grid and kept at least one cell wide and high, then split into
+    ``roi_out`` bins by proportional rounding. Every bin of every
     box is read in one gather from a channel-last copy of the map, padded to
     the widest bin by repeating each bin's last row and column, and reduced by
     one max over the padded window. The result is exact and keeps the map's
@@ -146,7 +142,14 @@ def roi_pool_batch(features: np.ndarray, rois, stride: int, roi_out=(4, 4)) -> n
 
 def roi_pool(features: np.ndarray, box: Box, stride: int, roi_out=(4, 4)) -> np.ndarray:
     """One box's [C,oh,ow] bins: ``roi_pool_batch`` over a one-row table."""
-    return roi_pool_batch(features, box.as_array()[None], stride, roi_out)[0]
+    return roi_pool_batch(features, [box], stride, roi_out)[0]
+
+
+def roi_table(proposals, image_size) -> np.ndarray:
+    """The [P,4] proposal table with the whole-image box appended: [P+1,4] float64."""
+    h, w = image_size
+    return np.concatenate([np.asarray(proposals, dtype=np.float64),
+                           [[0.0, 0.0, float(w), float(h)]]])
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +199,24 @@ def head_forward(params: dict, pooled, config: HeadConfig):
 # training targets
 
 
-def head_targets(proposals: list, level_pseudo_box: Box, image_label: int,
+def head_targets(proposals, level_pseudo_box, image_label: int,
                  config: HeadConfig, rng: np.random.Generator, image_size):
-    """Label proposals against one level's pseudo box and sample a training set.
+    """Label [P,4] proposals against one level's [4] pseudo box and sample a training set.
 
     A proposal is foreground (class = image_label) when its IoU with the
     pseudo box reaches ``fg_iou`` (inclusive), background otherwise. The
     proposals fill ``rois_per_image - 1`` slots, at most ``fg_fraction`` of
     them foreground where possible. The whole-image box is then appended as
     the last RoI, with class image_label whatever its IoU: inference reads
-    the full-image score vector from that box. Returns (rois, class_targets,
-    delta_targets, fg_mask); ``fg_mask`` marks the RoIs with IoU >= ``fg_iou``
-    (the whole-image box included), the only ones with a box-regression
-    target.
+    the full-image score vector from that box. Returns (rois [R,4],
+    class_targets, delta_targets, fg_mask); ``fg_mask`` marks the RoIs with
+    IoU >= ``fg_iou`` (the whole-image box included), the only ones with a
+    box-regression target.
     """
-    whole = len(proposals)
-    rois = list(proposals) + [whole_image_box(image_size)]
-    ious = rpn.iou_matrix([(r.x_min, r.y_min, r.x_max, r.y_max) for r in rois],
-                          level_pseudo_box.as_array()[None])[:, 0]
-    fg = ious >= config.fg_iou
+    rois = roi_table(proposals, image_size)
+    whole = len(rois) - 1
+    pseudo = np.asarray(level_pseudo_box, dtype=np.float64)
+    fg = rpn.iou_matrix(rois, pseudo[None])[:, 0] >= config.fg_iou
 
     fg_idx = np.flatnonzero(fg[:whole])
     bg_idx = np.flatnonzero(~fg[:whole])
@@ -224,15 +226,14 @@ def head_targets(proposals: list, level_pseudo_box: Box, image_label: int,
         [whole],
     ])
 
-    sampled_rois = [rois[i] for i in chosen]
+    sampled_rois = rois[chosen]
     cls_targets = np.where(fg[chosen] | (chosen == whole), image_label,
                            config.background).astype(np.int64)
     delta_targets = np.zeros((len(chosen), 4))
     fg_mask = fg[chosen]
     if fg_mask.any():
-        boxes = np.stack([level_pseudo_box.as_array()] * int(fg_mask.sum()))
-        anchors = np.stack([sampled_rois[i].as_array() for i in np.flatnonzero(fg_mask)])
-        delta_targets[fg_mask] = rpn.encode_boxes(boxes, anchors)
+        anchors = sampled_rois[fg_mask]
+        delta_targets[fg_mask] = rpn.encode_boxes(np.broadcast_to(pseudo, anchors.shape), anchors)
     return sampled_rois, cls_targets, delta_targets, fg_mask
 
 

@@ -27,7 +27,6 @@ from . import autodiff as ad
 from . import backbone as bb
 from . import heads as hd
 from . import rpn
-from .attention import whole_image_box
 from .autodiff import Tensor
 from .config import RunConfig, load_run_config
 
@@ -82,19 +81,14 @@ def _check_view(view, config: RunConfig) -> np.ndarray:
     return np.stack(view.images)
 
 
-def _box_table(boxes: list) -> np.ndarray:
-    """Boxes as the [R,4] corner table that ``hd.roi_pool_batch`` reads."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=np.float64)
-
-
 def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
-    """Per training image: (level -> pseudo box, last stage output), from one
-    pass of the frozen classification network."""
+    """Per training image: (pseudo boxes [L,4] in ``tap_levels`` order, last
+    stage output), from one pass of the frozen classification network."""
     maen_params = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
     table = []
     for img in _check_view(view, config):
         boxes, late = att.pseudo_boxes(img, maen_params, config.backbone)
-        table.append((dict(boxes), late))
+        table.append((np.asarray([box for _, box in boxes], dtype=np.float64), late))
     return table
 
 
@@ -159,8 +153,7 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
 
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
-    batches = [rpn.label_anchors(anchors, list(boxes.values()), ac, rng_sample)
-               for boxes, _ in table]
+    batches = [rpn.label_anchors(anchors, boxes, ac, rng_sample) for boxes, _ in table]
 
     opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
     for epoch in range(tc.epochs_rpn):
@@ -210,8 +203,7 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
     with ad.no_grad():
         for _, late in table:
             probs, deltas = rpn.rpn_forward(rpn_params, late, ac)
-            props = rpn.propose(probs, deltas, anchors, ac, image_size)
-            proposal_cache.append([box for box, _ in props])
+            proposal_cache.append(rpn.propose(probs, deltas, anchors, ac, image_size))
 
     shared_channels = bc.stage_channels[-1]
     params = {}
@@ -230,11 +222,10 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
         hit = total = 0
         for i in perm:
             boxes, late = table[i]
-            for level in bc.tap_levels:
+            for level, box in zip(bc.tap_levels, boxes):
                 rois, cls_t, delta_t, fg = hd.head_targets(
-                    proposal_cache[i], boxes[level], int(labels[i]), hc,
-                    rng_sample, image_size)
-                pooled = hd.roi_pool_batch(late.data[0], _box_table(rois), stride, hc.roi_out)
+                    proposal_cache[i], box, int(labels[i]), hc, rng_sample, image_size)
+                pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
                 scores, deltas = hd.head_forward(params[level], pooled, hc)
                 loss = hd.head_loss(scores, deltas, cls_t, delta_t, fg)
                 opts[level].zero_grad()
@@ -262,32 +253,34 @@ def train_stagewise(view, config: RunConfig, log_fn=None) -> TrainedModel:
 # inference
 
 
-def _refine_box(delta: np.ndarray, proposal, image_size):
-    decoded = rpn.decode_boxes(delta[None], proposal.as_array()[None], image_size)[0]
+def _refine_box(delta: np.ndarray, proposal: np.ndarray, image_size) -> att.Box:
+    """The ``Box`` of one [4] proposal row moved by its head's deltas."""
+    decoded = rpn.decode_boxes(delta[None], proposal[None], image_size)[0]
     if decoded[2] - decoded[0] <= 0 or decoded[3] - decoded[1] <= 0:
-        return proposal  # refinement collapsed under clipping; keep the proposal
+        return att.Box(*proposal)  # refinement collapsed under clipping; keep the proposal
     return att.Box(*decoded)
 
 
 def _head_contribution(model: TrainedModel, level: str, pooled: np.ndarray,
-                       boxes: list, image_size):
+                       proposals: np.ndarray, image_size):
     hc = model.config.head
     scores_t, deltas_t = hd.head_forward(model.head_params[level], pooled, hc)
     s, d = scores_t.data, deltas_t.data
-    confidence = 1.0 - s[: len(boxes), hc.background]
+    confidence = 1.0 - s[: len(proposals), hc.background]
     r = int(np.argmax(confidence))
     level_pred = hd.LevelPrediction(
-        box=_refine_box(d[r], boxes[r], image_size),
+        box=_refine_box(d[r], proposals[r], image_size),
         scores=hd.renormalize_foreground(s[r], hc.num_classes),
     )
     full_scores = hd.renormalize_foreground(s[-1], hc.num_classes)
     return level_pred, full_scores
 
 
-def _propose_boxes(model: TrainedModel, late, image_size):
+def _propose_boxes(model: TrainedModel, late, image_size) -> np.ndarray:
+    """The [K,4] proposals of one map, or the whole-image box when there are none."""
     probs, deltas = rpn.rpn_forward(model.rpn_params, late, model.config.anchor)
-    props = rpn.propose(probs, deltas, model.anchors, model.config.anchor, image_size)
-    return [box for box, _ in props] or [whole_image_box(image_size)]
+    proposals = rpn.propose(probs, deltas, model.anchors, model.config.anchor, image_size)
+    return proposals if len(proposals) else hd.roi_table(proposals, image_size)
 
 
 def _trunk(image, model: TrainedModel) -> Tensor:
@@ -307,11 +300,11 @@ def _infer(model: TrainedModel, groups) -> hd.Prediction:
     fulls = []
     with ad.no_grad():
         for levels, late in groups:
-            boxes = _propose_boxes(model, late, image_size)
-            rois = _box_table(boxes + [whole_image_box(image_size)])
+            proposals = _propose_boxes(model, late, image_size)
+            rois = hd.roi_table(proposals, image_size)
             pooled = hd.roi_pool_batch(late.data[0], rois, stride, model.config.head.roi_out)
             for level in levels:
-                pred, full = _head_contribution(model, level, pooled, boxes, image_size)
+                pred, full = _head_contribution(model, level, pooled, proposals, image_size)
                 per_level[level] = pred
                 fulls.append(full)
     full_image_scores = np.mean(fulls, axis=0)

@@ -120,12 +120,6 @@ def iou_matrix(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.where(inter > 0, inter / union, 0.0)
 
 
-def _as_corners(box) -> np.ndarray:
-    if isinstance(box, Box):
-        return box.as_array()
-    return np.asarray(box, dtype=np.float64)
-
-
 def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """(tx, ty, tw, th) of each [N,4] target box relative to its [N,4] anchor."""
     boxes = np.asarray(boxes, dtype=np.float64)
@@ -164,21 +158,23 @@ def decode_boxes(deltas: np.ndarray, anchors: np.ndarray, image_size=None) -> np
 # anchor labeling
 
 
-def label_anchors(anchors: np.ndarray, pseudo_boxes: list, config: AnchorConfig,
+def label_anchors(anchors: np.ndarray, pseudo_boxes, config: AnchorConfig,
                   rng: np.random.Generator) -> AnchorBatch:
     """Assign {positive, negative, ignore} labels and regression targets.
 
-    Positive when the best IoU over pseudo boxes reaches ``pos_iou``, or when
-    the anchor attains a box's global-max IoU (one forced positive per box,
-    first such anchor). Negative when the best IoU is at most ``neg_iou`` and
-    the anchor was not forced. A sample of at most
+    ``pseudo_boxes`` is a [G,4] corner table, G >= 1 (a list of ``Box`` reads
+    as one). Positive when the best IoU over pseudo boxes reaches ``pos_iou``,
+    or when the anchor attains a box's global-max IoU (one forced positive per
+    box, first such anchor). Negative when the best IoU is at most ``neg_iou``
+    and the anchor was not forced. A sample of at most
     ``anchors_per_image_sampled`` anchors (1:1 positive:negative where
     possible) is marked for the loss.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
-    if len(pseudo_boxes) < 1:
-        raise ValueError("label_anchors needs at least one pseudo box")
-    gt = np.stack([_as_corners(b) for b in pseudo_boxes])
+    gt = np.asarray(pseudo_boxes, dtype=np.float64)
+    if gt.ndim != 2 or gt.shape[1] != 4 or len(gt) < 1:
+        raise ValueError(f"label_anchors needs a [G,4] pseudo box table with G >= 1, "
+                         f"got shape {gt.shape}")
     m = iou_matrix(anchors, gt)
     best_iou = m.max(axis=1)
     best_gt = m.argmax(axis=1)
@@ -259,7 +255,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
     ``iou_thresh``. All pairwise overlaps come from one ``iou_matrix`` call
     over the score-sorted boxes, whose float64 arithmetic matches ``iou``
     operation for operation, so the kept set is the pairwise one exactly.
-    Boxes must be finite with positive extent, as ``Box`` requires.
+    Boxes must be finite with positive extent; ``ValueError`` names the first
+    that is not.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
@@ -285,10 +282,11 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
 
 
 def propose(obj_probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
-            config: AnchorConfig, image_size) -> list:
+            config: AnchorConfig, image_size) -> np.ndarray:
     """Decode, clip, keep the pre-NMS top scores, suppress, cap the output.
 
-    Returns at most ``post_nms_top`` (Box, score) pairs; boxes that collapse
+    Returns the kept boxes as a [K,4] float64 corner table in score order,
+    K <= ``post_nms_top`` (K = 0 when nothing survives); boxes that collapse
     to zero extent after clipping are dropped.
     """
     obj_probs = obj_probs.data if isinstance(obj_probs, Tensor) else np.asarray(obj_probs)
@@ -297,11 +295,11 @@ def propose(obj_probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
     decoded = decode_boxes(deltas, anchors, image_size)
     valid = np.flatnonzero((decoded[:, 2] > decoded[:, 0]) & (decoded[:, 3] > decoded[:, 1]))
     if len(valid) == 0:
-        return []
+        return np.empty((0, 4))
     decoded, scores = decoded[valid], scores[valid]
     top = np.argsort(-scores, kind="stable")[: config.pre_nms_top]
     kept = nms(decoded[top], scores[top], config.nms_iou)[: config.post_nms_top]
-    return [(Box(*decoded[top[i]]), float(scores[top[i]])) for i in kept]
+    return decoded[top[kept]]
 
 
 # ---------------------------------------------------------------------------

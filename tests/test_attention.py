@@ -19,6 +19,14 @@ def test_box_invariants():
         Box(0.0, 0.0, float("nan"), 1.0)
 
 
+def test_box_reads_as_corner_row_and_table():
+    row = np.asarray(Box(1, 2, 4, 7))
+    assert row.dtype == np.float64 and row.tolist() == [1.0, 2.0, 4.0, 7.0]
+    table = np.asarray([Box(1, 2, 4, 7), Box(0.5, 0.25, 3.0, 9.5)], dtype=np.float64)
+    assert table.shape == (2, 4)
+    assert table.tolist() == [[1.0, 2.0, 4.0, 7.0], [0.5, 0.25, 3.0, 9.5]]
+
+
 # ---------------------------------------------------------------------------
 # attention maps
 

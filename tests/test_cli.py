@@ -118,6 +118,21 @@ def test_infer_json_lines(cli_pipeline, capsys):
     assert abs(sum(doc["fused_scores"]) - 1.0) < 1e-6
 
 
+def test_infer_needs_exactly_one_source(cli_pipeline, capsys):
+    _, data, model = cli_pipeline
+    image = str(data / "test" / "img_00000.ppm")
+    assert run(["infer", "--model", str(model), "--image", image, "--data", str(data)]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert run(["infer", "--model", str(model)]) == 1
+    assert "one of the arguments --image --data is required" in capsys.readouterr().err
+
+
+def test_bench_rejects_zero_repeats(cli_pipeline, capsys):
+    _, data, model = cli_pipeline
+    assert run(["bench", "--data", str(data), "--model", str(model), "--repeats", "0"]) == 2
+    assert "error: bench needs repeats >= 1, got 0" in capsys.readouterr().err
+
+
 def test_exit_codes(cli_pipeline, tmp_path):
     _, data, model = cli_pipeline
     assert run(["bogus"]) == 1

@@ -41,6 +41,12 @@ def test_localization_matches_counting_oracle():
     assert abs(ev.localization_accuracy(pred, gt) - expected) < 1e-9
 
 
+@pytest.mark.parametrize("metric", [ev.localization_accuracy, ev.pcl])
+def test_box_metrics_reject_empty_input(metric):
+    with pytest.raises(ValueError, match="at least one"):
+        metric([], [])
+
+
 def test_pcl_examples():
     box = Box(0, 0, 10, 10)
     per_part, avg = ev.pcl([box], [[(5.0, 5.0), (10.0, 5.0), (0.0, 0.0)]])
@@ -112,3 +118,10 @@ def test_bench_requires_enough_images():
         ev.bench(None, [np.zeros((3, 64, 64))] * 5, "shared")
     with pytest.raises(ValueError, match="mode"):
         ev.bench(None, [np.zeros((3, 64, 64))] * 100, "bogus")
+
+
+def test_bench_rejects_no_repeats_before_warm_up():
+    # the model is never touched: the check comes before the warm-up pass
+    for repeats in (0, -1):
+        with pytest.raises(ValueError, match="repeats"):
+            ev.bench(None, [np.zeros((3, 64, 64))] * 100, "shared", repeats=repeats)

@@ -59,7 +59,7 @@ def test_roi_pool_never_exceeds_region_max():
         mins = rng.uniform(0, 56, size=2)
         box = Box(mins[0], mins[1], mins[0] + rng.uniform(1, 64 - mins[0]),
                   mins[1] + rng.uniform(1, 64 - mins[1]))
-        x0, y0, x1, y1 = heads.project_box_to_grid(box, 8, 8, 8)
+        x0, y0, x1, y1 = grid_box_direct(np.asarray(box), 8, 8, 8)
         region_max = fmap[:, y0:y1, x0:x1].max(axis=(1, 2))
         out = heads.roi_pool(fmap, box, stride=8, roi_out=(4, 4))
         assert np.all(out.max(axis=(1, 2)) <= region_max + 1e-12)
@@ -231,7 +231,7 @@ def test_head_targets_examples(cfg):
     rois, cls_t, delta_t, fg = heads.head_targets(
         [pseudo, Box(40, 40, 60, 60)], pseudo, image_label=2, config=cfg, rng=rng,
         image_size=(64, 64))
-    by_box = {(r.x_min, r.y_min, r.x_max, r.y_max): i for i, r in enumerate(rois)}
+    by_box = {tuple(r): i for i, r in enumerate(rois)}
     exact = by_box[(10, 10, 30, 30)]
     assert cls_t[exact] == 2 and fg[exact]
     assert np.allclose(delta_t[exact], 0.0)
@@ -255,6 +255,7 @@ def test_head_targets_whole_image_always_sampled(cfg):
         rois, cls_t, delta_t, fg = heads.head_targets(
             proposals, pseudo, image_label=3, config=cfg, rng=np.random.default_rng(seed),
             image_size=(64, 64))
+        rois = [Box(*r) for r in rois]
         assert len(rois) == cfg.rois_per_image
         assert rois[-1] == Box(0, 0, 64, 64)
         assert rois[:-1].count(Box(0, 0, 64, 64)) == 0
@@ -290,7 +291,7 @@ def test_head_targets_labels_follow_scalar_iou():
         proposals, pseudo, image_label=2, config=config, rng=rng, image_size=(64, 64))
     assert len(rois) == len(proposals) + 1
     for r, f in zip(rois, fg):
-        assert f == (rpn.iou(r, pseudo) >= config.fg_iou)
+        assert f == (rpn.iou(Box(*r), pseudo) >= config.fg_iou)
 
 
 def test_head_targets_inclusive_boundary(cfg):
@@ -300,7 +301,7 @@ def test_head_targets_inclusive_boundary(cfg):
     rois, cls_t, delta_t, fg = heads.head_targets(
         [proposal], pseudo, image_label=1, config=cfg, rng=np.random.default_rng(8),
         image_size=(64, 64))
-    i = next(i for i, r in enumerate(rois) if r == proposal)
+    i = next(i for i, r in enumerate(rois) if Box(*r) == proposal)
     assert fg[i] and cls_t[i] == 1
 
 

@@ -9,8 +9,11 @@ import pytest
 from wsdl import backbone as bb
 from wsdl import evaluate as ev
 from wsdl import pipeline as pl
+from wsdl import attention as att
+from wsdl import heads as hd
 from wsdl import rpn
 from wsdl import synthdata as sd
+from wsdl.attention import Box
 
 from conftest import tiny_config
 
@@ -28,6 +31,19 @@ def _trunk_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(bb, "stage_forward", counting)
     return calls
+
+
+def _box_builds(monkeypatch) -> list:
+    """Record every ``Box`` built from now on."""
+    built = []
+    real = Box.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Box, "__post_init__", counting)
+    return built
 
 
 def test_log_format_and_stage_ordering(tiny_setup):
@@ -145,6 +161,26 @@ def test_infer_separate_matches_shared(tiny_setup, monkeypatch):
     passes = _trunk_passes(monkeypatch)
     pl.infer_separate(test_view.images[0], model)
     assert len(passes) == len(model.levels)
+
+
+def test_boxes_are_built_only_for_predictions(tiny_setup, monkeypatch):
+    model, cfg = tiny_setup.model, tiny_setup.config
+    img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
+    boxes, late = att.pseudo_boxes(img, model.maen_params, cfg.backbone)
+    pseudo = np.asarray(boxes[-1][1])
+    built = _box_builds(monkeypatch)
+
+    for run in (pl.infer, pl.infer_separate):
+        pred = run(img, model)
+        assert built == [pred.per_level[level].box for level in model.levels]
+        built.clear()
+
+    probs, deltas = rpn.rpn_forward(model.rpn_params, late, cfg.anchor)
+    proposals = rpn.propose(probs, deltas, model.anchors, cfg.anchor, cfg.backbone.input_size)
+    rois, *_ = hd.head_targets(proposals, pseudo, 0, cfg.head, np.random.default_rng(0),
+                               cfg.backbone.input_size)
+    assert len(proposals) and rois.shape[1] == 4
+    assert built == []
 
 
 def test_single_level_reduces_to_region_plus_full_image(tmp_path, monkeypatch):

@@ -171,6 +171,12 @@ def test_label_requires_boxes(cfg):
         _batch(np.zeros((1, 4)), [], cfg)
 
 
+@pytest.mark.parametrize("boxes", [[0.0, 0.0, 10.0, 10.0], [[0.0, 0.0, 10.0]], np.zeros((0, 4))])
+def test_label_rejects_malformed_table(cfg, boxes):
+    with pytest.raises(ValueError, match=r"\[G,4\]"):
+        _batch(np.zeros((1, 4)), boxes, cfg)
+
+
 def test_sampling_cap_and_balance(cfg):
     anchors = rpn.generate_anchors(8, 8, cfg)
     batch = _batch(anchors, [Box(20, 20, 44, 44)], cfg, seed=3)
@@ -368,12 +374,12 @@ def test_propose_contract(cfg):
     deltas = rng.normal(size=(len(anchors), 4)) * 0.3
     proposals = rpn.propose(probs, deltas, anchors, cfg, image_size=(64, 64))
     assert 0 < len(proposals) <= cfg.post_nms_top
-    for box, score in proposals:
+    proposals = [Box(*row) for row in proposals]
+    for box in proposals:
         assert 0.0 <= box.x_min < box.x_max <= 64.0
         assert 0.0 <= box.y_min < box.y_max <= 64.0
-        assert 0.0 <= score <= 1.0
-    for i, (a, _) in enumerate(proposals):
-        for b, _ in proposals[i + 1:]:
+    for i, a in enumerate(proposals):
+        for b in proposals[i + 1:]:
             assert rpn.iou(a, b) <= cfg.nms_iou
 
 
