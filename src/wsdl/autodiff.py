@@ -159,7 +159,17 @@ def backward(loss: Tensor):
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlate ``x`` [N,C,H,W] with ``kernels`` [K,C,kh,kw] plus bias [K]."""
+    """Cross-correlate ``x`` [N,C,H,W] with ``kernels`` [K,C,kh,kw] plus bias [K].
+
+    Unrolled convolution (im2col, Chellapilla et al. 2006): one
+    ``(K, C*kh*kw) @ (C*kh*kw, Ho*Wo)`` GEMM per sample. A padded input is
+    copied into the interior of a zeroed buffer, and its columns are built
+    with one strided slice per kernel tap. A 1x1, stride-1, unpadded conv
+    reads ``x`` itself, reshaped to [N,C,H*W], as its column matrix (copied
+    only when ``x`` is not C-contiguous). The bias is added in place to the
+    GEMM output. Outputs and gradients are bit for bit those of the
+    ``np.pad`` im2col kernel (``conv2d_im2col`` in the test oracles).
+    """
     if x.ndim != 4 or kernels.ndim != 4 or bias.ndim != 1:
         raise ShapeError(
             f"conv2d expects input [N,C,H,W], kernels [K,C,kh,kw], bias [K]; "
@@ -178,17 +188,25 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
             f"conv2d kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = x.data
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x.data
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
 
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    cols2 = cols.reshape(n, c * kh * kw, ho * wo)
+    if kh == kw == stride == 1 and not pad:
+        cols2 = np.ascontiguousarray(xp).reshape(n, c, h * w)
+    else:
+        cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        cols2 = cols.reshape(n, c * kh * kw, ho * wo)
     wflat = kernels.data.reshape(k, c * kh * kw)
-    out = np.matmul(wflat, cols2).reshape(n, k, ho, wo) + bias.data.reshape(1, k, 1, 1)
+    out = np.matmul(wflat, cols2).reshape(n, k, ho, wo)
+    out = out.astype(np.result_type(out, bias.data), copy=False)
+    out += bias.data.reshape(1, k, 1, 1)
 
     def grad_fn(g):
         gflat = g.reshape(n, k, ho * wo)

@@ -59,6 +59,8 @@ def pcl(pred_boxes, part_points):
     if len(pred_boxes) != len(part_points):
         raise ValueError(f"length mismatch: {len(pred_boxes)} boxes vs {len(part_points)} point sets")
     k = len(part_points[0])
+    if k == 0:
+        raise ValueError("pcl needs at least one part point per image")
     hits = [0] * k
     for box, parts in zip(pred_boxes, part_points):
         if len(parts) != k:

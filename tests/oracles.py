@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to check the package.
 
 Everything here is deliberately naive (nested loops, exhaustive search,
-finite differences) and independent of the implementations under test.
+finite differences) and independent of the implementations under test,
+except ``conv2d_im2col``: a fixed copy of an earlier fast kernel that the
+package's kernel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +31,41 @@ def conv2d_direct(x, kernels, bias, stride=1, pad=0):
                     patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
                     out[b, oc, i, j] = (patch * kernels[oc]).sum() + bias[oc]
     return out
+
+
+def conv2d_im2col(x, kernels, bias, g, stride=1, pad=0):
+    """The ``np.pad`` im2col conv2d kernel with its gradient math: a fixed
+    reference that ``ad.conv2d`` must match bit for bit.
+
+    Pads with ``np.pad``, builds the columns with one strided slice per kernel
+    tap, runs one ``np.matmul`` per sample and adds the bias out of place.
+    ``g`` is the upstream gradient of the output. Works at the inputs' dtype
+    and returns (out, grad of x, grad of kernels, grad of bias).
+    """
+    n, c, h, w = x.shape
+    k, _, kh, kw = kernels.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+
+    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols2 = cols.reshape(n, c * kh * kw, ho * wo)
+    wflat = kernels.reshape(k, c * kh * kw)
+    out = np.matmul(wflat, cols2).reshape(n, k, ho, wo) + bias.reshape(1, k, 1, 1)
+
+    gflat = g.reshape(n, k, ho * wo)
+    gk = np.matmul(gflat, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
+    gb = g.sum(axis=(0, 2, 3))
+    dcols = np.matmul(wflat.T, gflat).reshape(n, c, kh, kw, ho, wo)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
+    gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+    return out, gx, gk, gb
 
 
 def window_max_pool(x):

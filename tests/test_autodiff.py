@@ -6,8 +6,8 @@ import pytest
 from wsdl import autodiff as ad
 from wsdl.autodiff import Tensor
 
-from oracles import (argmax_max_pool, conv2d_direct, finite_difference, gradient_mismatch,
-                     window_max_pool)
+from oracles import (argmax_max_pool, conv2d_direct, conv2d_im2col, finite_difference,
+                     gradient_mismatch, window_max_pool)
 
 GRAD_TOL = 1e-4
 
@@ -142,6 +142,71 @@ def test_max_pool_nan_window_gradient_goes_to_first_nan():
     expected[0, 0, 2, 0] = g[0, 0, 1, 0]
     expected[0, 0, 2, 2] = g[0, 0, 1, 1]
     assert np.array_equal(_bits(gx), _bits(expected))
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _sprinkle(a, rng):
+    """``a`` with about one element in eight replaced by +-0, +-inf or NaN."""
+    a = a.copy()
+    hit = rng.random(a.shape) < 0.125
+    a[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return a
+
+
+def _conv_inputs(rng, n, dtype, kh, kw, layout):
+    """x [n,3,7,9], kernels [4,3,kh,kw], bias [4]; ``layout`` picks a
+    contiguous input, a strided view of a larger array, or special values."""
+    shape = (n, 3, 7, 9)
+    if layout == "view":
+        x = rng.normal(size=(n, 6, 14, 9)).astype(dtype)[:, ::2, 1::2]
+        assert x.shape == shape and not x.flags.c_contiguous
+    else:
+        x = rng.normal(size=shape).astype(dtype)
+        if layout == "special":
+            x = _sprinkle(x, rng)
+    kernels = rng.normal(size=(4, 3, kh, kw)).astype(dtype)
+    bias = rng.normal(size=4).astype(dtype)
+    return x, kernels, bias
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 20])
+@pytest.mark.parametrize("kh,kw", [(1, 1), (2, 3), (3, 3)])
+def test_conv2d_bitwise_equals_pad_im2col_kernel(dtype, n, kh, kw):
+    rng = np.random.default_rng(21)
+    for pad in (0, 1, 2):
+        for stride in (1, 2):
+            for layout in ("contiguous", "view", "special"):
+                x, kernels, bias = _conv_inputs(rng, n, dtype, kh, kw, layout)
+                x_before = x.copy()
+                xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernels, bias))
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+                    out = ad.conv2d(xt, kt, bt, stride=stride, pad=pad)
+                    g = rng.normal(size=out.shape).astype(dtype)
+                    if layout == "special":
+                        g = _sprinkle(g, rng)
+                    ad.backward(ad.sum_all(ad.mul_const(out, g)))
+                    want = conv2d_im2col(x, kernels, bias, g, stride=stride, pad=pad)
+                case = (pad, stride, layout)
+                for got, ref in zip((out.data, xt.grad, kt.grad, bt.grad), want):
+                    assert got.dtype == ref.dtype == dtype, case
+                    assert got.shape == ref.shape, case
+                    assert np.array_equal(_bits(got), _bits(ref)), case
+                assert np.array_equal(_bits(xt.data), _bits(x_before)), case
+                assert not np.shares_memory(out.data, xt.data), case
+
+
+def test_conv2d_bias_dtype_promotes_as_out_of_place_add():
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+    kernels = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
+    bias = rng.normal(size=4)  # float64: the sum is float64, as with ``+``
+    out = ad.conv2d(Tensor(x), Tensor(kernels), Tensor(bias), pad=1)
+    want, _, _, _ = conv2d_im2col(x, kernels, bias, np.zeros((2, 4, 5, 5), np.float32), pad=1)
+    assert out.data.dtype == want.dtype == np.float64
+    assert np.array_equal(_bits(out.data), _bits(want))
 
 
 def test_global_avg_pool_examples():

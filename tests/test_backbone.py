@@ -8,6 +8,8 @@ from wsdl import autodiff as ad
 from wsdl import backbone as bb
 from wsdl.autodiff import Tensor
 
+from conftest import tiny_config
+
 
 @pytest.fixture(scope="module")
 def cfg():
@@ -67,6 +69,25 @@ def test_identical_images_identical_rows(cfg, params):
         assert np.array_equal(fmap.data[0], fmap.data[1])
         assert np.array_equal(fmap.data[0], fmap.data[2])
     assert np.array_equal(fs.cam_logits.data[0], fs.cam_logits.data[1])
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_trunk_outputs_do_not_depend_on_batch_size(n):
+    # conv2d runs one GEMM per sample, so a sample's maps are the same bits
+    # whatever else shares its batch
+    cfg = tiny_config().backbone
+    params = bb.init_maen_params(cfg, np.random.default_rng(5))
+    images = _image_batch(n, seed=6)
+    with ad.no_grad():
+        batch = bb.maen_forward(params, Tensor(images), cfg)
+        batch_stages = bb.stage_forward(params, Tensor(images), cfg)
+        for i in range(n):
+            one = Tensor(images[i : i + 1])
+            for got, want in zip(batch_stages, bb.stage_forward(params, one, cfg), strict=True):
+                assert np.array_equal(got.data[i : i + 1].view(np.uint32), want.data.view(np.uint32))
+            want_cam = bb.maen_forward(params, one, cfg).taps["cam"].data
+            assert np.array_equal(batch.taps["cam"].data[i : i + 1].view(np.uint32),
+                                  want_cam.view(np.uint32))
 
 
 def test_forward_rejects_bad_inputs(cfg, params):

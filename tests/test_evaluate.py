@@ -47,6 +47,13 @@ def test_box_metrics_reject_empty_input(metric):
         metric([], [])
 
 
+def test_pcl_rejects_images_without_part_points():
+    with pytest.raises(ValueError, match="at least one part point"):
+        ev.pcl([Box(0, 0, 1, 1)], [[]])
+    with pytest.raises(ValueError, match="at least one part point"):
+        ev.pcl([Box(0, 0, 1, 1), Box(0, 0, 1, 1)], [[], []])
+
+
 def test_pcl_examples():
     box = Box(0, 0, 10, 10)
     per_part, avg = ev.pcl([box], [[(5.0, 5.0), (10.0, 5.0), (0.0, 0.0)]])
