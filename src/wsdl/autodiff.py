@@ -4,8 +4,11 @@ Tensors wrap numpy arrays (float32 for training storage, float64 in tests
 and oracles). Every operation that touches a gradient-requiring input
 records its inputs and a gradient closure on the output; ``backward`` walks
 the recorded graph once in reverse topological order and accumulates
-adjoints additively into ``.grad``. Only the operation set needed by the
-localization pipeline is provided.
+adjoints additively into the ``.grad`` of its leaves, the tensors that no
+recorded operation produced; intermediate tensors keep ``.grad`` None. A
+graph lives as long as a reference to its output does, so a training step
+that drops its loss frees its whole graph. Only the operation set needed by
+the localization pipeline is provided.
 """
 
 from __future__ import annotations
@@ -114,11 +117,14 @@ def _owned(g: np.ndarray) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate ``.grad`` on every gradient-requiring tensor reachable from ``loss``.
+    """Populate ``.grad`` on every gradient-requiring leaf reachable from ``loss``.
 
-    Adjoints accumulate additively: calling twice without zeroing doubles the
-    gradients. Each graph node is visited exactly once, in reverse execution
-    order.
+    Only leaves, tensors without a gradient closure (parameters and inputs
+    made with ``requires_grad=True``), get a ``.grad``; the adjoints of
+    intermediate tensors are dropped once passed on. Adjoints accumulate
+    additively: calling twice on one graph without zeroing doubles every
+    leaf gradient. Each graph node is visited exactly once, in reverse
+    execution order.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -144,14 +150,14 @@ def backward(loss: Tensor):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = _owned(g) if node.grad is None else node.grad + g
         if node._grad_fn is not None:
             for parent, pg in zip(node._parents, node._grad_fn(g)):
                 if pg is None:
                     continue
                 pid = id(parent)
                 adjoint[pid] = adjoint[pid] + pg if pid in adjoint else pg
+        elif node.requires_grad:
+            node.grad = _owned(g) if node.grad is None else node.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +213,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     out = np.matmul(wflat, cols2).reshape(n, k, ho, wo)
     out = out.astype(np.result_type(out, bias.data), copy=False)
     out += bias.data.reshape(1, k, 1, 1)
+    padded_shape = xp.shape  # grad_fn keeps the columns, not the padded buffer
 
     def grad_fn(g):
         gflat = g.reshape(n, k, ho * wo)
@@ -217,7 +224,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             dcols = np.matmul(wflat.T, gflat).reshape(n, c, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(padded_shape, dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import attention as att
-from . import autodiff as ad
 from . import pipeline as pl
 from . import rpn
 from . import synthdata as sd
@@ -218,7 +217,6 @@ def bench(model: pl.TrainedModel, images, mode: str, repeats: int = 5,
         run = pl.infer_separate
     else:
         raise ValueError(f"unknown bench mode {mode!r}")
-    ad.enable_buffer_reuse()
 
     for img in images:  # warm-up, excluded from timing
         run(img, model)

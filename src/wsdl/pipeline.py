@@ -63,11 +63,46 @@ class TrainedModel:
         return self.config.backbone.tap_levels
 
 
-def _check_loss(loss: Tensor) -> float:
+def _sgd_step(opt: ad.SGD, loss: Tensor) -> float:
+    """Backpropagate ``loss`` into ``opt``'s parameters, update them, and return
+    the loss value; a non-finite loss raises ``RuntimeError``."""
+    opt.zero_grad()
+    ad.backward(loss)
+    opt.step()
     value = loss.item()
     if not np.isfinite(value):
         raise RuntimeError(f"training diverged: loss = {value}")
     return value
+
+
+# One function per training step: the step's graph (im2col columns,
+# activations, closures) is freed when it returns, not kept alive while the
+# next step's forward builds.
+
+
+def _maen_step(params: dict, opt: ad.SGD, images: np.ndarray, labels: np.ndarray,
+               bc) -> tuple:
+    """One stage-1 step on a batch: (loss, correctly classified images)."""
+    probs = ad.softmax(bb.maen_forward(params, Tensor(images), bc).cam_logits)
+    loss = _sgd_step(opt, ad.cross_entropy(probs, labels))
+    return loss, int((probs.data.argmax(axis=1) == labels).sum())
+
+
+def _rpn_step(params: dict, opt: ad.SGD, late: Tensor, batch: rpn.AnchorBatch,
+              ac) -> tuple:
+    """One stage-2 step on one image's sampled anchors: (loss, correct anchors)."""
+    probs, deltas = rpn.rpn_forward(params, late, ac)
+    loss = _sgd_step(opt, rpn.rpn_loss(probs, deltas, batch, ac))
+    predicted = probs.data.argmax(axis=1)[batch.sampled]
+    return loss, int((predicted == batch.labels[batch.sampled]).sum())
+
+
+def _head_step(params: dict, opt: ad.SGD, pooled: np.ndarray, cls_t: np.ndarray,
+               delta_t: np.ndarray, fg: np.ndarray, hc) -> tuple:
+    """One stage-3 step on one image's RoIs at one level: (loss, correct RoIs)."""
+    scores, deltas = hd.head_forward(params, pooled, hc)
+    loss = _sgd_step(opt, hd.head_loss(scores, deltas, cls_t, delta_t, fg))
+    return loss, int((scores.data.argmax(axis=1) == cls_t).sum())
 
 
 def _check_view(view, config: RunConfig) -> np.ndarray:
@@ -112,14 +147,9 @@ def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
         correct = 0
         for start in range(0, n, tc.batch_maen):
             idx = perm[start : start + tc.batch_maen]
-            fs = bb.maen_forward(params, Tensor(images[idx]), bc)
-            probs = ad.softmax(fs.cam_logits)
-            loss = ad.cross_entropy(probs, labels[idx])
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            loss_sum += _check_loss(loss) * len(idx)
-            correct += int((probs.data.argmax(axis=1) == labels[idx]).sum())
+            loss, hits = _maen_step(params, opt, images[idx], labels[idx], bc)
+            loss_sum += loss * len(idx)
+            correct += hits
         log(LOG_LINE.format(stage=1, epoch=epoch + 1, loss=loss_sum / n, acc=correct / n))
     return bb.params_to_checkpoint(params, "maen")
 
@@ -165,14 +195,9 @@ def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
         for i in perm:
             batch = batches[i]
             batch.sampled = rpn.sample_for_loss(batch.labels, ac, rng_sample)
-            probs, deltas = rpn.rpn_forward(params, table[i][1], ac)
-            loss = rpn.rpn_loss(probs, deltas, batch, ac)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            loss_sum += _check_loss(loss)
-            predicted = probs.data.argmax(axis=1)[batch.sampled]
-            hit += int((predicted == batch.labels[batch.sampled]).sum())
+            loss, hits = _rpn_step(params, opt, table[i][1], batch, ac)
+            loss_sum += loss
+            hit += hits
             total += len(batch.sampled)
         log(LOG_LINE.format(stage=2, epoch=epoch + 1, loss=loss_sum / n, acc=hit / total))
     return bb.params_to_checkpoint(params, "dln")
@@ -226,13 +251,10 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
                 rois, cls_t, delta_t, fg = hd.head_targets(
                     proposal_cache[i], box, int(labels[i]), hc, rng_sample, image_size)
                 pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
-                scores, deltas = hd.head_forward(params[level], pooled, hc)
-                loss = hd.head_loss(scores, deltas, cls_t, delta_t, fg)
-                opts[level].zero_grad()
-                ad.backward(loss)
-                opts[level].step()
-                loss_sum += _check_loss(loss)
-                hit += int((scores.data.argmax(axis=1) == cls_t).sum())
+                loss, hits = _head_step(params[level], opts[level], pooled,
+                                        cls_t, delta_t, fg, hc)
+                loss_sum += loss
+                hit += hits
                 total += len(cls_t)
         steps = n * len(bc.tap_levels)
         log(LOG_LINE.format(stage=3, epoch=epoch + 1, loss=loss_sum / steps, acc=hit / total))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ def test_conv2d_bitwise_equals_pad_im2col_kernel(dtype, n, kh, kw):
                 assert not np.shares_memory(out.data, xt.data), case
 
 
+def test_conv2d_retains_columns_not_padded_input():
+    rng = np.random.default_rng(23)
+    x = t(rng.normal(size=(2, 8, 32, 32)))
+    k = t(rng.normal(size=(4, 8, 3, 3)))
+    b = t(rng.normal(size=4))
+    ad.conv2d(x, k, b, pad=1)  # warm-up: first-call allocations are not retained by the op
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, k, b, pad=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cols = 2 * 8 * 9 * 32 * 32 * 8  # [N, C*kh*kw, Ho*Wo] float64
+    # 16 KiB covers the output Tensor and the closure; the padded input is 148 KB
+    assert retained <= cols + out.data.nbytes + 16 * 1024
+
+
 def test_conv2d_bias_dtype_promotes_as_out_of_place_add():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
@@ -353,6 +372,37 @@ def test_backward_accumulates_without_zeroing():
     first = x.grad.copy()
     ad.backward(loss)
     assert np.array_equal(x.grad, 2 * first)
+
+
+def _conv_relu_pool_graph():
+    """A conv -> relu -> max-pool -> projection graph: (leaves, intermediates, loss)."""
+    rng = np.random.default_rng(8)
+    x = t(rng.normal(size=(2, 2, 6, 6)))
+    k = t(rng.normal(size=(3, 2, 3, 3)))
+    b = t(rng.normal(size=3))
+    conv = ad.conv2d(x, k, b, pad=1)
+    act = ad.relu(conv)
+    pooled = ad.max_pool2d(act)
+    loss = _project(pooled, rng)
+    return (x, k, b), (conv, act, pooled), loss
+
+
+def test_backward_sets_grad_on_leaves_only():
+    leaves, intermediates, loss = _conv_relu_pool_graph()
+    ad.backward(loss)
+    for p in leaves:
+        assert p.grad is not None and p.grad.shape == p.shape
+    for node in intermediates + (loss,):
+        assert node.grad is None
+
+
+def test_backward_twice_doubles_every_leaf_gradient():
+    leaves, _, loss = _conv_relu_pool_graph()
+    ad.backward(loss)
+    first = [p.grad.copy() for p in leaves]
+    ad.backward(loss)
+    for p, g in zip(leaves, first):
+        assert np.array_equal(p.grad, 2 * g)
 
 
 def test_backward_deterministic_with_zeroing():

@@ -2,6 +2,7 @@ import builtins
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +45,44 @@ def _box_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(Box, "__post_init__", counting)
     return built
+
+
+def _graphs_alive_at_next_forward(monkeypatch, module, name, owned) -> list:
+    """Wrap ``module.name``, a training step's forward, so that each call records
+    whether the ndarray that ``owned`` picks from the previous call's result,
+    one that only that step's graph holds, is still alive."""
+    real = getattr(module, name)
+    previous = []
+    alive = []
+
+    def checking(*args, **kwargs):
+        if previous:
+            alive.append(previous[0]() is not None)
+        result = real(*args, **kwargs)
+        previous[:] = [weakref.ref(owned(result))]
+        return result
+
+    monkeypatch.setattr(module, name, checking)
+    return alive
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_each_training_step_frees_its_graph(tiny_setup, monkeypatch, stage):
+    view, cfg, model = tiny_setup.view, tiny_setup.config, tiny_setup.model
+    table = pl.pseudo_box_table(view, cfg, model.maen)
+    if stage == 1:
+        alive = _graphs_alive_at_next_forward(monkeypatch, bb, "maen_forward",
+                                              lambda fs: fs.late.data)
+        pl.train_maen(view, cfg)
+    elif stage == 2:
+        alive = _graphs_alive_at_next_forward(monkeypatch, rpn, "rpn_forward",
+                                              lambda out: out[0].data)
+        pl.train_rpn(view, cfg, model.maen, table=table)
+    else:
+        alive = _graphs_alive_at_next_forward(monkeypatch, hd, "head_forward",
+                                              lambda out: out[0].data)
+        pl.train_heads(view, cfg, model.maen, model.dln, table=table)
+    assert len(alive) > 1 and not any(alive)
 
 
 def test_log_format_and_stage_ordering(tiny_setup):
