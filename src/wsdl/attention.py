@@ -80,7 +80,7 @@ class AttentionMap:
 
 @dataclass
 class BinaryMask:
-    mask: np.ndarray  # 2-D bool
+    mask: np.ndarray  # bool, the map's shape
     threshold: float | None  # normalized units; None marks the degenerate constant map
 
 
@@ -105,51 +105,64 @@ def attention_map(features: np.ndarray, level: str, stride: int,
     return AttentionMap(values=values, level=level, stride=stride)
 
 
-def otsu_threshold(values: np.ndarray, bins: int = OTSU_BINS) -> float | None:
-    """Threshold (in min-max normalized units) maximizing between-class variance.
+def binarize(maps, bins: int = OTSU_BINS) -> list:
+    """OTSU-threshold every map of ``maps`` in one pass: a ``BinaryMask`` per map.
 
-    Candidates are the bucket boundaries k/bins; ties resolve to the lowest
-    threshold. Comparisons run in exact integer arithmetic on the histogram,
-    so the result matches an exhaustive search bit for bit. Returns None for
-    a constant map (caller treats the whole map as foreground).
+    Each map (any shape, at least one cell) is min-max normalized once; its
+    foreground is the cells at or above the threshold. Candidate thresholds
+    are the bucket boundaries k/bins, and the chosen one maximizes the
+    between-class variance, ties to the lowest. One histogram and one cumulative
+    sum cover all maps; a float64 score picks the near-best boundaries of each
+    map, and any map whose near-best boundaries differ in their integer class
+    counts is decided by exact integer comparison, so the result matches an
+    exhaustive search bit for bit. A constant map gets threshold None and an
+    all-foreground mask.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size < 1:
-        raise ValueError("otsu_threshold needs at least one cell")
-    lo, hi = v.min(), v.max()
-    if hi == lo:
-        return None
-    norm = (v - lo) / (hi - lo)
+    arrays = [np.asarray(m, dtype=np.float64) for m in maps]
+    sizes = np.array([v.size for v in arrays], dtype=np.int64)
+    if len(arrays) == 0 or sizes.min() < 1:
+        raise ValueError("binarize needs maps of at least one cell")
+    if (bins - 1) * int(sizes.max()) ** 2 >= 2 ** 63:
+        raise ValueError(f"a map of {sizes.max()} cells is too large for exact OTSU")
+    values = np.concatenate([v.ravel() for v in arrays])
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(values, starts)
+    hi = np.maximum.reduceat(values, starts)
+    varying = hi > lo
+    owner = np.repeat(np.arange(len(arrays)), sizes)
+    norm = (values - lo[owner]) / np.where(varying, hi - lo, 1.0)[owner]
     idx = np.minimum((norm * bins).astype(np.int64), bins - 1)
-    hist = np.bincount(idx, minlength=bins)
+    hist = np.bincount(owner * bins + idx, minlength=len(arrays) * bins).reshape(-1, bins)
 
-    counts = [int(c) for c in hist]
-    total = int(v.size)
-    total_sum = sum(k * c for k, c in enumerate(counts))
-    best_k, best_num, best_den = 1, -1, 1
-    n0 = s0 = 0
-    for k in range(1, bins):
-        n0 += counts[k - 1]
-        s0 += (k - 1) * counts[k - 1]
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            num, den = 0, 1
-        else:
-            a = s0 * n1 - (total_sum - s0) * n0
-            num, den = a * a, n0 * n1
-        if num * best_den > best_num * den:
-            best_k, best_num, best_den = k, num, den
-    return best_k / bins
+    # boundary k = 1..bins-1 (column k-1) splits the cells into buckets < k and >= k;
+    # its between-class variance is a^2 / den up to a per-map constant
+    n0 = np.cumsum(hist, axis=1)[:, :-1]
+    s0 = np.cumsum(hist * np.arange(bins), axis=1)
+    a = sizes[:, None] * s0[:, :-1] - s0[:, -1:] * n0  # exact: |a| <= (bins-1) * size^2
+    den = n0 * (sizes[:, None] - n0)
+    score = np.divide(a.astype(np.float64) ** 2, den, out=np.zeros(den.shape), where=den > 0)
+    # the exact best lies within 1e-9 of the float best (the score is off by a few ulp)
+    near = score >= score.max(axis=1, keepdims=True) * (1.0 - 1e-9)
+    first = near.argmax(axis=1)[:, None]
+    same = ((a == np.take_along_axis(a, first, axis=1))
+            & (den == np.take_along_axis(den, first, axis=1)))
+    best = first[:, 0] + 1
+    for m in np.flatnonzero((near & ~same).any(axis=1)):
+        best_num, best_den = -1, 1
+        for j in np.flatnonzero(near[m]):
+            num, d = int(a[m, j]) ** 2, max(int(den[m, j]), 1)
+            if num * best_den > best_num * d:
+                best[m], best_num, best_den = j + 1, num, d
+    thresholds = np.where(varying, best / bins, -np.inf)
+    foreground = np.split(norm >= thresholds[owner], starts[1:])
+    return [BinaryMask(mask=fg.reshape(v.shape), threshold=float(t) if ok else None)
+            for fg, v, t, ok in zip(foreground, arrays, thresholds, varying)]
 
 
-def binarize(amap: AttentionMap, bins: int = OTSU_BINS) -> BinaryMask:
-    """OTSU-threshold the normalized map; foreground is >= threshold."""
-    thresh = otsu_threshold(amap.values, bins)
-    if thresh is None:
-        return BinaryMask(mask=np.ones(amap.values.shape, dtype=bool), threshold=None)
-    lo, hi = amap.values.min(), amap.values.max()
-    norm = (amap.values - lo) / (hi - lo)
-    return BinaryMask(mask=norm >= thresh, threshold=thresh)
+def otsu_threshold(values: np.ndarray, bins: int = OTSU_BINS) -> float | None:
+    """The OTSU threshold of one map in min-max normalized units (``binarize``'s
+    one-map case); None for a constant map."""
+    return binarize([values], bins)[0].threshold
 
 
 def largest_component_bbox(mask: np.ndarray) -> Box | None:
@@ -202,6 +215,41 @@ def to_image_coords(box: Box, stride: int, image_size) -> Box:
     )
 
 
+def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> list:
+    """``pseudo_boxes`` for each of ``images``: one classification-network pass
+    per image, then one ``binarize`` call over every attention map of them all.
+
+    The network runs at batch 1 on each image, so its cam logits (and with
+    them the predicted class that weighs the cam map) are those of a lone
+    image; a batched linear layer would change their bits.
+    """
+    levels = config.tap_levels
+    maps, lates = [], []
+    for image in images:
+        with ad.no_grad():
+            fs = bb.maen_forward(maen_params, Tensor(np.asarray(image)[None]), config)
+            predicted = int(ad.softmax(fs.cam_logits).data[0].argmax())
+        for level in levels:
+            fmap = fs.taps[level].data[0]
+            if level == "cam":
+                maps.append(attention_map(fmap, level, fs.strides[level],
+                                          fs.cam_class_weights, predicted))
+            else:
+                maps.append(attention_map(fmap, level, fs.strides[level]))
+        lates.append(fs.late)
+
+    boxes = []
+    for amap, binary in zip(maps, binarize([amap.values for amap in maps])):
+        component = largest_component_bbox(binary.mask)
+        if component is None:
+            boxes.append(whole_image_box(config.input_size))
+        else:
+            boxes.append(to_image_coords(component, amap.stride, config.input_size))
+    n = len(levels)
+    return [(list(zip(levels, boxes[i * n : (i + 1) * n])), late)
+            for i, late in enumerate(lates)]
+
+
 def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig) -> tuple:
     """One (level, Box) pseudo annotation per configured tap level, and the
     last stage output [1,C,h,w] of the same pass: ``(boxes, late)``.
@@ -211,25 +259,4 @@ def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig
     component back to image coordinates. Degenerate maps (constant attention
     or empty foreground) resolve to the whole-image box.
     """
-    image = np.asarray(image)
-    with ad.no_grad():
-        fs = bb.maen_forward(maen_params, Tensor(image[None]), config)
-        probs = ad.softmax(fs.cam_logits).data
-    predicted = int(probs[0].argmax())
-
-    out = []
-    for level in config.tap_levels:
-        fmap = fs.taps[level].data[0]
-        stride = fs.strides[level]
-        if level == "cam":
-            amap = attention_map(fmap, level, stride, fs.cam_class_weights, predicted)
-        else:
-            amap = attention_map(fmap, level, stride)
-        component = largest_component_bbox(binarize(amap).mask)
-        if component is None:
-            box = whole_image_box(config.input_size)
-        else:
-            box = to_image_coords(component, stride, config.input_size)
-        out.append((level, box))
-    return out, fs.late
-
+    return pseudo_boxes_batch([image], maen_params, config)[0]

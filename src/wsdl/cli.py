@@ -164,12 +164,13 @@ def _prediction_json(name, pred) -> str:
 def _cmd_infer(args) -> int:
     model = pl.load_model(args.model)
     if args.image:
-        inputs = [(path, sd.image_to_float(sd.read_ppm(path))) for path in args.image]
+        names = args.image
+        images = [sd.image_to_float(sd.read_ppm(path)) for path in names]
     else:
         view = sd.TrainView(os.path.join(args.data, "test"))
-        inputs = list(zip(view.filenames, view.images))
-    for name, image in inputs:
-        print(_prediction_json(name, pl.infer(image, model)))
+        names, images = view.filenames, view.images
+    for name, pred in zip(names, pl.infer_batch(images, model), strict=True):
+        print(_prediction_json(name, pred))
     return 0
 
 

@@ -4,7 +4,9 @@ Classification accuracy is correct count over test count. A localization
 counts as correct when the predicted box's IoU with the annotated object box
 strictly exceeds 0.5. PCL is the fraction of part points falling inside the
 predicted box (half-open convention). One classification-network pass per
-test image gives both its attention boxes and the localization network's map.
+test image gives both its attention boxes and the localization network's map;
+the test split is scored in batches of ``pl.BATCH`` images, each sharing one
+OTSU pass and one proposal-network pass.
 The benchmark compares one shared backbone pass feeding all heads against one
 full network pass per head.
 """
@@ -134,10 +136,10 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     num_classes = model.config.backbone.num_classes
 
     predictions, maen_all = [], []
-    for img in view.images:
-        boxes, late = att.pseudo_boxes(img, model.maen_params, model.config.backbone)
-        predictions.append(pl._infer(model, [(model.levels, late)]))
-        maen_all.append(dict(boxes))
+    for images in pl.batches(view.images):
+        attended = att.pseudo_boxes_batch(images, model.maen_params, model.config.backbone)
+        predictions += pl._infer(model, [[(model.levels, late)] for _, late in attended])
+        maen_all += [dict(boxes) for boxes, _ in attended]
     maen_boxes = {level: [boxes[level] for boxes in maen_all] for level in levels}
 
     labels = view.labels.tolist()

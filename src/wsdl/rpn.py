@@ -325,19 +325,20 @@ def init_rpn_params(in_channels: int, config: AnchorConfig,
 
 
 def rpn_forward(params: dict, shared_map: Tensor, config: AnchorConfig):
-    """Slide the head over the shared map; returns per-anchor probs [A,2] and deltas [A,4].
+    """Slide the head over N stacked maps [N,C,h,w]; returns per-anchor probs
+    [N*A,2] and deltas [N*A,4], image by image.
 
-    Channel layout follows the anchor order of ``generate_anchors``: grid
-    cells row-major, then anchor index within the cell.
+    Within an image, rows follow the anchor order of ``generate_anchors``: grid
+    cells row-major, then anchor index within the cell. ``conv2d`` runs one
+    GEMM per sample and the rest is row-wise, so each image's rows are bit for
+    bit those of its batch-1 pass.
     """
     n, _, h, w = shared_map.shape
-    if n != 1:
-        raise ad.ShapeError(f"rpn_forward expects a single image, got batch {n}")
     k = config.anchors_per_cell
     trunk = ad.relu(ad.conv2d(shared_map, params["rpn.conv.weight"], params["rpn.conv.bias"],
                               stride=1, pad=1))
     obj = ad.conv2d(trunk, params["rpn.obj.weight"], params["rpn.obj.bias"])
     reg = ad.conv2d(trunk, params["rpn.reg.weight"], params["rpn.reg.bias"])
-    obj_logits = ad.reshape(ad.transpose(obj, (0, 2, 3, 1)), (h * w * k, 2))
-    deltas = ad.reshape(ad.transpose(reg, (0, 2, 3, 1)), (h * w * k, 4))
+    obj_logits = ad.reshape(ad.transpose(obj, (0, 2, 3, 1)), (n * h * w * k, 2))
+    deltas = ad.reshape(ad.transpose(reg, (0, 2, 3, 1)), (n * h * w * k, 4))
     return ad.softmax(obj_logits), deltas

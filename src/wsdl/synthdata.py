@@ -16,6 +16,7 @@ Images are binary PPM (P6). Labels: ``labels.tsv`` with
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,21 +174,25 @@ def write_ppm(path, img: np.ndarray):
         fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
 
 
+# magic, width, height and maxval, separated by whitespace and '#' comments
+# (which run to the end of their line), then one whitespace byte before the pixels
+_SEP = rb"(?:\s|#[^\r\n]*)+"
+_PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Read a binary P6 image back as uint8 [H,W,3]."""
+    """Read a binary P6 image (netpbm header rules) back as uint8 [H,W,3]."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    parts = raw.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P6":
+    if not raw.startswith(b"P6"):
         raise ValueError(f"{path}: not a binary PPM (P6) file")
-    try:
-        w, h = (int(v) for v in parts[1].split())
-        maxval = int(parts[2])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed PPM header") from exc
+    header = _PPM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: malformed PPM header")
+    w, h, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pixels = parts[3]
+    pixels = raw[header.end():]
     if len(pixels) != w * h * 3:
         raise ValueError(f"{path}: truncated PPM payload, expected {w * h * 3} bytes, "
                          f"got {len(pixels)}")

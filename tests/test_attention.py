@@ -74,13 +74,13 @@ def test_otsu_two_cluster_map():
     values = np.array([[0.0, 0, 0], [1, 1, 1]])
     thresh = att.otsu_threshold(values)
     assert thresh is not None and 0.0 < thresh < 1.0
-    mask = att.binarize(att.AttentionMap(values, "late", 8)).mask
+    mask = att.binarize([values])[0].mask
     assert np.array_equal(mask, values >= 0.5)
 
 
 def test_otsu_constant_map_degenerate():
     assert att.otsu_threshold(np.full((4, 4), 2.5)) is None
-    bm = att.binarize(att.AttentionMap(np.full((4, 4), 2.5), "late", 8))
+    bm = att.binarize([np.full((4, 4), 2.5)])[0]
     assert bm.threshold is None
     assert bm.mask.all()
 
@@ -114,6 +114,59 @@ def test_otsu_matches_exhaustive_oracle():
             assert got is None
         else:
             assert got == expected_k / att.OTSU_BINS
+
+
+def _comparison_product(values, k, bins=att.OTSU_BINS) -> int:
+    """The exhaustive search's cross-multiplied term num * den at boundary k."""
+    norm = (values - values.min()) / (values.max() - values.min())
+    hist = np.bincount(np.minimum((norm.ravel() * bins).astype(np.int64), bins - 1),
+                       minlength=bins).tolist()
+    n, n0 = len(norm.ravel()), sum(hist[:k])
+    s0, total_sum = sum(j * hist[j] for j in range(k)), sum(j * c for j, c in enumerate(hist))
+    return (n * s0 - total_sum * n0) ** 2 * (n0 * (n - n0))
+
+
+def test_binarize_matches_exhaustive_oracle_in_one_call():
+    rng = np.random.default_rng(21)
+    maps = []
+    for trial in range(160):
+        shape = (rng.integers(1, 12), rng.integers(1, 12))
+        kind = trial % 4
+        if kind == 0:
+            maps.append(rng.normal(size=shape))
+        elif kind == 1:  # quantized: many tied cells and empty buckets
+            maps.append(rng.choice([0.0, 0.25, 0.5, 1.0], size=shape))
+        elif kind == 2:
+            maps.append(np.full(shape, rng.normal()))
+        else:
+            maps.append(rng.normal(size=(1, 1)))
+    # boundaries 61..105 and 106..255 tie exactly, with different class counts
+    maps.append(np.repeat([0.0, 60.5 / 256, 105.5 / 256, 1.0], [5, 5, 5, 1]).reshape(4, 4))
+    assert otsu_exhaustive(maps[-1]) == 61
+    big = rng.normal(size=(64, 64))
+    big[:, 40:] += 4.0
+    maps.append(big)
+    # exactness cannot rest on int64: the search's comparison terms overflow it here
+    assert _comparison_product(big, otsu_exhaustive(big)) > np.iinfo(np.int64).max
+
+    masks = att.binarize(maps)
+    assert len(masks) == len(maps)
+    for values, bm in zip(maps, masks):
+        expected_k = otsu_exhaustive(values)
+        assert bm.mask.shape == values.shape
+        if expected_k is None:
+            assert bm.threshold is None and bm.mask.all()
+        else:
+            assert bm.threshold == expected_k / att.OTSU_BINS
+            norm = (values - values.min()) / (values.max() - values.min())
+            assert np.array_equal(bm.mask, norm >= bm.threshold)
+
+
+def test_binarize_rejects_empty_input():
+    with pytest.raises(ValueError, match="at least one cell"):
+        att.binarize([])
+    with pytest.raises(ValueError, match="at least one cell"):
+        att.binarize([np.ones((2, 2)), np.ones((0, 3))])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from wsdl import autodiff as ad
 from wsdl import backbone as bb
 from wsdl import evaluate as ev
 from wsdl import pipeline as pl
@@ -137,6 +138,72 @@ def test_evaluate_makes_one_trunk_pass_per_image(tiny_setup, monkeypatch):
     passes = _trunk_passes(monkeypatch)
     ev.evaluate_model(tiny_setup.model, test_dir)
     assert len(passes) == len(sd.TrainView(test_dir))
+
+
+def _assert_same_prediction(got, want):
+    """Bit for bit: fused and full-image vectors, class, per-level boxes and scores."""
+    assert got.fused.tobytes() == want.fused.tobytes()
+    assert got.full_image_scores.tobytes() == want.full_image_scores.tobytes()
+    assert got.predicted_class == want.predicted_class
+    assert list(got.per_level) == list(want.per_level)
+    for level, lp in want.per_level.items():
+        assert np.asarray(got.per_level[level].box).tobytes() == np.asarray(lp.box).tobytes()
+        assert got.per_level[level].scores.tobytes() == lp.scores.tobytes()
+
+
+def test_batched_evaluation_equals_per_image_path(tiny_setup, monkeypatch):
+    model, bc = tiny_setup.model, tiny_setup.config.backbone
+    test_dir = os.path.join(tiny_setup.data, "test")
+    images = sd.TrainView(test_dir).images
+    assert len(images) > pl.BATCH and len(images) % pl.BATCH  # a short last batch
+
+    # image 5 gets no proposals, so its RoI table is the whole-image box twice
+    with ad.no_grad():
+        no_proposals, _ = rpn.rpn_forward(model.rpn_params, pl._trunk(images[5], model),
+                                          model.config.anchor)
+    real_propose, real_pool = rpn.propose, hd.roi_pool_batch
+    pooled_rows = []
+
+    def propose(probs, *rest):
+        if np.array_equal(probs, no_proposals.data):
+            return np.empty((0, 4))
+        return real_propose(probs, *rest)
+
+    def roi_pool_batch(features, rois, *rest):
+        pooled_rows.append(len(rois))
+        return real_pool(features, rois, *rest)
+
+    monkeypatch.setattr(rpn, "propose", propose)
+    monkeypatch.setattr(hd, "roi_pool_batch", roi_pool_batch)
+
+    reference = [pl.infer(img, model) for img in images]
+    reference_boxes = [att.pseudo_boxes(img, model.maen_params, bc)[0] for img in images]
+    assert pooled_rows[5] == 2 and min(pooled_rows[:5] + pooled_rows[6:]) > 2
+
+    batched, attended = [], []
+    real_infer, real_attend = pl._infer, att.pseudo_boxes_batch
+
+    def recording_infer(m, groups):
+        batched.extend(real_infer(m, groups))
+        return batched[-len(groups):]
+
+    def recording_attend(imgs, *rest):
+        attended.extend(real_attend(imgs, *rest))
+        return attended[-len(imgs):]
+
+    monkeypatch.setattr(pl, "_infer", recording_infer)
+    monkeypatch.setattr(att, "pseudo_boxes_batch", recording_attend)
+    report = ev.evaluate_model(model, test_dir).to_json()
+    assert len(batched) == len(attended) == len(images)
+    for got, want in zip(batched, reference):
+        _assert_same_prediction(got, want)
+    for (boxes, _), want in zip(attended, reference_boxes):
+        assert boxes == want
+    for got, want in zip(pl.infer_batch(images, model), reference):
+        _assert_same_prediction(got, want)
+
+    monkeypatch.setattr(pl, "BATCH", 1)
+    assert ev.evaluate_model(model, test_dir).to_json() == report
 
 
 def test_training_never_reads_annotations(tmp_path, monkeypatch):

@@ -395,3 +395,30 @@ def test_rpn_forward_layout(cfg):
     expected = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
     for row in range(81):
         assert np.allclose(probs.data[row], expected, atol=1e-6)
+
+
+def test_rpn_forward_batch_rows_equal_single_image_passes(cfg):
+    rng = np.random.default_rng(11)
+    params = rpn.init_rpn_params(16, cfg, rng)
+    maps = rng.normal(size=(5, 16, 8, 8)).astype(np.float32)
+    maps[2] = 0.0
+    with ad.no_grad():
+        probs, deltas = rpn.rpn_forward(params, Tensor(maps), cfg)
+        singles = [rpn.rpn_forward(params, Tensor(maps[i : i + 1]), cfg) for i in range(5)]
+    a = 8 * 8 * cfg.anchors_per_cell
+    assert probs.shape == (5 * a, 2) and deltas.shape == (5 * a, 4)
+    for i, (p, d) in enumerate(singles):
+        assert probs.data[i * a : (i + 1) * a].tobytes() == p.data.tobytes(), i
+        assert deltas.data[i * a : (i + 1) * a].tobytes() == d.data.tobytes(), i
+
+
+def test_decode_rows_do_not_depend_on_their_table():
+    rng = np.random.default_rng(12)
+    deltas = rng.normal(scale=2.0, size=(200, 4)).astype(np.float32)
+    deltas[:5, 2:] = (-800.0, 50.0)  # a collapsed and an overflowing box
+    corner = rng.uniform(0, 60, size=(200, 2))
+    anchors = np.concatenate([corner, corner + rng.uniform(0.5, 40, size=(200, 2))], axis=1)
+    table = rpn.decode_boxes(deltas, anchors, (64, 64))
+    for i in range(len(deltas)):
+        row = rpn.decode_boxes(deltas[i][None], anchors[i][None], (64, 64))[0]
+        assert row.tobytes() == table[i].tobytes(), i

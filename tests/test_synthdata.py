@@ -101,6 +101,33 @@ def test_ppm_roundtrip(tmp_path):
     assert f.min() >= 0.0 and f.max() <= 1.0
 
 
+@pytest.mark.parametrize("header", [
+    b"P6 4 3 255\n",
+    b"P6\n# written by another tool\n4 3\n# maxval follows\n255\n",
+    b"P6\t4\r\n3   255 ",
+])
+def test_read_ppm_accepts_netpbm_headers(tmp_path, header):
+    img = np.arange(36, dtype=np.uint8).reshape(3, 4, 3)
+    img.flat[:3] = (ord(" "), ord("\n"), ord("#"))  # pixels that look like header bytes
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + img.tobytes())
+    assert np.array_equal(sd.read_ppm(path), img)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P3 1 1 255\n1 2 3", "not a binary PPM"),
+    (b"P6 1 x 255\n\x00\x00\x00", "malformed PPM header"),
+    (b"P6 1 1 255", "malformed PPM header"),
+    (b"P6 1 1 65535\n\x00\x00\x00", "unsupported maxval 65535"),
+    (b"P6 2 1 255\n\x00\x00\x00", "expected 6 bytes, got 3"),
+])
+def test_read_ppm_rejects_bad_files(tmp_path, raw, message):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        sd.read_ppm(path)
+
+
 def test_generation_deterministic(tmp_path):
     config = sd.GenConfig(num_classes=4, train_count=10, test_count=4, seed=3)
     a, b = tmp_path / "a", tmp_path / "b"
