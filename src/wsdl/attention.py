@@ -10,7 +10,6 @@ coordinates. Degenerate maps fall back to the whole-image box.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +56,6 @@ class Box:
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
-
-
-def whole_image_box(image_size) -> Box:
-    h, w = image_size
-    return Box(0.0, 0.0, float(w), float(h))
 
 
 @dataclass
@@ -165,59 +159,58 @@ def otsu_threshold(values: np.ndarray, bins: int = OTSU_BINS) -> float | None:
     return binarize([values], bins)[0].threshold
 
 
-def largest_component_bbox(mask: np.ndarray) -> Box | None:
-    """Tight half-open box of the largest 4-connected true component.
+def component_boxes(masks) -> np.ndarray:
+    """The tight half-open box (x_min, y_min, x_max, y_max), in grid cells, of
+    the largest 4-connected true component of each of M masks [M,h,w]: [M,4]
+    float64, a NaN row where a mask has no foreground.
 
-    Size ties go to the component whose first cell comes earliest in
-    row-major order. Returns None when the mask has no foreground.
+    Each true cell starts labelled with its flat index; each round it takes
+    the least label of itself and its true 4-neighbours, then the label of the
+    cell that label names, until nothing changes. A component ends labelled
+    with its first cell in row-major order, so the first largest size in label
+    order breaks size ties toward that cell.
     """
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 3 or masks.shape[1] < 1 or masks.shape[2] < 1:
+        raise ValueError(f"masks must be [M,h,w] with nonempty maps, got shape {masks.shape}")
+    m, h, w = masks.shape
+    n = masks.size
+    labels = np.where(masks, np.arange(n).reshape(masks.shape), n)  # background holds n
+    previous = None
+    while not np.array_equal(labels, previous):
+        previous, low = labels, labels.copy()
+        np.minimum(low[:, 1:], labels[:, :-1], out=low[:, 1:])
+        np.minimum(low[:, :-1], labels[:, 1:], out=low[:, :-1])
+        np.minimum(low[:, :, 1:], labels[:, :, :-1], out=low[:, :, 1:])
+        np.minimum(low[:, :, :-1], labels[:, :, 1:], out=low[:, :, :-1])
+        flat = np.append(np.where(masks, low, n).ravel(), n)  # flat[n] keeps background at n
+        labels = flat[flat[:-1]].reshape(masks.shape)
+
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)[:n].reshape(m, h * w)
+    roots = sizes.argmax(axis=1) + np.arange(m) * (h * w)
+    member = labels == roots[:, None, None]
+    rows, cols = member.any(axis=2), member.any(axis=1)
+    boxes = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                      w - cols[:, ::-1].argmax(axis=1), h - rows[:, ::-1].argmax(axis=1)],
+                     axis=1).astype(np.float64)
+    boxes[~masks.any(axis=(1, 2))] = np.nan
+    return boxes
+
+
+def largest_component_bbox(mask: np.ndarray) -> Box | None:
+    """``component_boxes`` of one 2-D mask as a ``Box``; None when the mask has
+    no foreground."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.size < 1:
+    if mask.ndim != 2:
         raise ValueError(f"mask must be a nonempty 2-D array, got shape {mask.shape}")
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    best_size = 0
-    best = None
-    for r in range(h):
-        for c in range(w):
-            if not mask[r, c] or seen[r, c]:
-                continue
-            queue = deque([(r, c)])
-            seen[r, c] = True
-            size = 0
-            rmin = rmax = r
-            cmin = cmax = c
-            while queue:
-                cr, cc = queue.popleft()
-                size += 1
-                rmin, rmax = min(rmin, cr), max(rmax, cr)
-                cmin, cmax = min(cmin, cc), max(cmax, cc)
-                for nr, nc in ((cr - 1, cc), (cr + 1, cc), (cr, cc - 1), (cr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not seen[nr, nc]:
-                        seen[nr, nc] = True
-                        queue.append((nr, nc))
-            if size > best_size:
-                best_size = size
-                best = Box(float(cmin), float(rmin), float(cmax + 1), float(rmax + 1))
-    return best
-
-
-def to_image_coords(box: Box, stride: int, image_size) -> Box:
-    """Scale a feature-grid box by its stride and clip to the image."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    h, w = image_size
-    return Box(
-        min(max(box.x_min * stride, 0.0), float(w)),
-        min(max(box.y_min * stride, 0.0), float(h)),
-        min(max(box.x_max * stride, 0.0), float(w)),
-        min(max(box.y_max * stride, 0.0), float(h)),
-    )
+    row = component_boxes(mask[None])[0]
+    return None if np.isnan(row[0]) else Box(*row.tolist())
 
 
 def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> list:
     """``pseudo_boxes`` for each of ``images``: one classification-network pass
-    per image, then one ``binarize`` call over every attention map of them all.
+    per image, one ``binarize`` call over every attention map of them all, and
+    one ``component_boxes`` call per level over that level's masks.
 
     The network runs at batch 1 on each image, so its cam logits (and with
     them the predicted class that weighs the cam map) are those of a lone
@@ -238,21 +231,18 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
                 maps.append(attention_map(fmap, level, fs.strides[level]))
         lates.append(fs.late)
 
-    boxes = []
-    for amap, binary in zip(maps, binarize([amap.values for amap in maps])):
-        component = largest_component_bbox(binary.mask)
-        if component is None:
-            boxes.append(whole_image_box(config.input_size))
-        else:
-            boxes.append(to_image_coords(component, amap.stride, config.input_size))
+    masks = [binary.mask for binary in binarize([amap.values for amap in maps])]
     n = len(levels)
-    return [(list(zip(levels, boxes[i * n : (i + 1) * n])), late)
-            for i, late in enumerate(lates)]
+    table = np.stack([component_boxes(masks[j::n]) * maps[j].stride for j in range(n)], axis=1)
+    h, w = config.input_size
+    table = np.where(np.isnan(table), [0.0, 0.0, w, h], np.clip(table, 0.0, [w, h, w, h]))
+    return list(zip(table, lates))
 
 
 def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig) -> tuple:
-    """One (level, Box) pseudo annotation per configured tap level, and the
-    last stage output [1,C,h,w] of the same pass: ``(boxes, late)``.
+    """The pseudo boxes of one image as an [L,4] float64 corner table, one row
+    per configured tap level in order, and the last stage output [1,C,h,w] of
+    the same pass: ``(boxes, late)``.
 
     Runs the trained classification network once, takes its predicted class
     for the cam-level weighting, and maps each level's largest attention

@@ -430,16 +430,6 @@ def rms_normalize(x: Tensor, eps: float) -> Tensor:
     return _make(y, (x,), grad_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def grad_fn(g):
-        return g * b.data, g * a.data
-
-    return _make(a.data * b.data, (a, b), grad_fn)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     def grad_fn(g):
         return (g * c,)

@@ -181,9 +181,9 @@ def params_to_checkpoint(params: dict, stage_tag: str) -> Checkpoint:
     return Checkpoint(CHECKPOINT_VERSION, table, stage_tag)
 
 
-def checkpoint_to_params(ckpt: Checkpoint, requires_grad: bool = True) -> dict:
-    return {name: Tensor(arr.copy(), requires_grad=requires_grad)
-            for name, arr in ckpt.params.items()}
+def checkpoint_to_params(ckpt: Checkpoint) -> dict:
+    """Frozen copies of a checkpoint's tables: Tensors that take no gradient."""
+    return {name: Tensor(arr.copy()) for name, arr in ckpt.params.items()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path):

@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data | train | infer | eval | bench.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures. All
-randomness is governed by the seed (flag > config file > default). The
-effective configuration is echoed into every output directory.
+Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
+``gen-data`` and ``train`` build a configuration (flag > config file >
+default) and echo it into their output directory; ``infer``, ``eval`` and
+``bench`` run the configuration saved with the model, and ``eval`` echoes it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ def _add_common(p: _Parser, *names):
         p.add_argument("--out", required=True, help="output directory")
     if "model" in names:
         p.add_argument("--model", required=True, help="trained model directory")
+
+
+def _add_config(p: _Parser):
     p.add_argument("--seed", type=int, default=None, help="seed overriding config and defaults")
     p.add_argument("--config", default=None, help="key = value configuration file")
     p.add_argument("--levels", default=None,
@@ -52,10 +56,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     _add_common(p, "out")
+    _add_config(p)
     p.set_defaults(handler=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train stage-wise on a dataset")
     _add_common(p, "data", "out")
+    _add_config(p)
     p.add_argument("--stage", choices=("maen", "rpn", "heads", "all"), default="all",
                    help="which training stage to run (later stages load earlier checkpoints)")
     p.set_defaults(handler=_cmd_train)
@@ -83,7 +89,7 @@ def _build_config(args) -> RunConfig:
     config = load_run_config(args.config) if args.config else RunConfig.default()
     if args.seed is not None:
         config.set_key("seed", str(args.seed))
-    if getattr(args, "levels", None):
+    if args.levels:
         config.set_key("tap_levels", args.levels)
     config.sync_derived()
     return config

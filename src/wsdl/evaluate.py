@@ -6,7 +6,10 @@ strictly exceeds 0.5. PCL is the fraction of part points falling inside the
 predicted box (half-open convention). One classification-network pass per
 test image gives both its attention boxes and the localization network's map;
 the test split is scored in batches of ``pl.BATCH`` images, each sharing one
-OTSU pass and one proposal-network pass.
+OTSU pass and one proposal-network pass. Beside the hit rates, the report
+pairs the localization network with the attention that trained it: the mean
+IoU with the object box per level for both, and the number of images only one
+of the two localizes at the cam level.
 The benchmark compares one shared backbone pass feeding all heads against one
 full network pass per head.
 """
@@ -27,6 +30,7 @@ from . import rpn
 from . import synthdata as sd
 
 LOCALIZATION_LEVEL = "cam"  # boxes scored against the object annotation
+LOCALIZATION_IOU = 0.5      # a localization counts when its IoU exceeds this
 
 
 def accuracy(predictions, labels) -> float:
@@ -40,36 +44,46 @@ def accuracy(predictions, labels) -> float:
     return correct / len(predictions)
 
 
-def localization_accuracy(pred_boxes, gt_boxes, thresh: float = 0.5) -> float:
-    pred_boxes = list(pred_boxes)
-    gt_boxes = list(gt_boxes)
-    if not pred_boxes:
-        raise ValueError("localization_accuracy needs at least one box")
-    if len(pred_boxes) != len(gt_boxes):
-        raise ValueError(f"length mismatch: {len(pred_boxes)} vs {len(gt_boxes)} boxes")
-    hits = sum(1 for p, g in zip(pred_boxes, gt_boxes) if rpn.iou(p, g) > thresh)
-    return hits / len(pred_boxes)
+def _box_table(boxes) -> np.ndarray:
+    """``boxes``, an [N,4] corner table or N ``Box``es, as [N,4] float64 with N >= 1."""
+    table = np.asarray(boxes, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != 4 or not len(table):
+        raise ValueError(f"box metrics need at least one box in an [N,4] table, got {table.shape}")
+    return table
+
+
+def _box_ious(pred_boxes, gt_boxes) -> np.ndarray:
+    """[N] IoU of each predicted box with its annotated box."""
+    pred, gt = _box_table(pred_boxes), _box_table(gt_boxes)
+    if len(pred) != len(gt):
+        raise ValueError(f"length mismatch: {len(pred)} vs {len(gt)} boxes")
+    return rpn.iou(pred, gt)
+
+
+def _hit_rate(ious: np.ndarray, thresh: float = LOCALIZATION_IOU) -> float:
+    """Fraction of ``ious`` strictly above ``thresh``."""
+    return int(np.count_nonzero(ious > thresh)) / len(ious)
+
+
+def localization_accuracy(pred_boxes, gt_boxes, thresh: float = LOCALIZATION_IOU) -> float:
+    return _hit_rate(_box_ious(pred_boxes, gt_boxes), thresh)
 
 
 def pcl(pred_boxes, part_points):
     """Per-part and average fraction of part points inside the predicted boxes."""
-    pred_boxes = list(pred_boxes)
+    boxes = _box_table(pred_boxes)
     part_points = list(part_points)
-    if not pred_boxes:
-        raise ValueError("pcl needs at least one box")
-    if len(pred_boxes) != len(part_points):
-        raise ValueError(f"length mismatch: {len(pred_boxes)} boxes vs {len(part_points)} point sets")
+    if len(boxes) != len(part_points):
+        raise ValueError(f"length mismatch: {len(boxes)} boxes vs {len(part_points)} point sets")
     k = len(part_points[0])
     if k == 0:
         raise ValueError("pcl needs at least one part point per image")
-    hits = [0] * k
-    for box, parts in zip(pred_boxes, part_points):
-        if len(parts) != k:
-            raise ValueError("inconsistent part count across images")
-        for idx, (x, y) in enumerate(parts):
-            if box.contains(x, y):
-                hits[idx] += 1
-    per_part = [h / len(pred_boxes) for h in hits]
+    if any(len(parts) != k for parts in part_points):
+        raise ValueError("inconsistent part count across images")
+    x, y = np.moveaxis(np.asarray(part_points, dtype=np.float64), 2, 0)  # each [N,K]
+    inside = ((boxes[:, :1] <= x) & (x < boxes[:, 2:3])
+              & (boxes[:, 1:2] <= y) & (y < boxes[:, 3:]))
+    per_part = [hits / len(boxes) for hits in inside.sum(axis=0).tolist()]
     return per_part, sum(per_part) / k
 
 
@@ -110,6 +124,10 @@ class EvalReport:
     maen_localization: dict
     localization_accuracy: float      # dln, cam level
     maen_localization_accuracy: float
+    dln_mean_iou: dict                # level -> mean IoU with the object box
+    maen_mean_iou: dict
+    dln_only_localized: int           # cam level: images the dln localizes and attention misses
+    maen_only_localized: int          # cam level: images attention localizes and the dln misses
     pcl_per_part: list
     pcl_average: float
     confusion: list                   # row-major counts
@@ -120,13 +138,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        raw = json.loads(text)
-        raw["per_level_accuracy"] = dict(raw["per_level_accuracy"])
-        raw["top_confused_pairs"] = [tuple(t) for t in raw["top_confused_pairs"]]
-        return cls(**raw)
-
 
 def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     """Run inference over a test split and score it against the annotations."""
@@ -135,29 +146,31 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     levels = list(model.levels)
     num_classes = model.config.backbone.num_classes
 
-    predictions, maen_all = [], []
+    predictions, attended_boxes = [], []
     for images in pl.batches(view.images):
         attended = att.pseudo_boxes_batch(images, model.maen_params, model.config.backbone)
         predictions += pl._infer(model, [[(model.levels, late)] for _, late in attended])
-        maen_all += [dict(boxes) for boxes, _ in attended]
-    maen_boxes = {level: [boxes[level] for boxes in maen_all] for level in levels}
+        attended_boxes += [boxes for boxes, _ in attended]
+    attended_boxes = np.stack(attended_boxes)  # [N,L,4]
 
     labels = view.labels.tolist()
     fused = [p.predicted_class for p in predictions]
-    gt_boxes = [annotations[name].object_box for name in view.filenames]
+    gt_boxes = _box_table([annotations[name].object_box for name in view.filenames])
     parts = [annotations[name].part_points for name in view.filenames]
 
     per_level_acc = {
         level: accuracy([int(np.argmax(p.per_level[level].scores)) for p in predictions], labels)
         for level in levels
     }
-    dln_loc = {
-        level: localization_accuracy([p.per_level[level].box for p in predictions], gt_boxes)
-        for level in levels
-    }
-    maen_loc = {level: localization_accuracy(maen_boxes[level], gt_boxes) for level in levels}
+    dln_iou = {level: _box_ious([p.per_level[level].box for p in predictions], gt_boxes)
+               for level in levels}
+    maen_iou = {level: _box_ious(attended_boxes[:, j], gt_boxes) for j, level in enumerate(levels)}
+    dln_loc = {level: _hit_rate(ious) for level, ious in dln_iou.items()}
+    maen_loc = {level: _hit_rate(ious) for level, ious in maen_iou.items()}
 
     loc_level = LOCALIZATION_LEVEL if LOCALIZATION_LEVEL in dln_loc else levels[-1]
+    dln_hits = dln_iou[loc_level] > LOCALIZATION_IOU
+    maen_hits = maen_iou[loc_level] > LOCALIZATION_IOU
     loc_boxes = [p.per_level[loc_level].box for p in predictions]
     per_part, pcl_avg = pcl(loc_boxes, parts)
     matrix = confusion_matrix(fused, labels, num_classes)
@@ -173,6 +186,10 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
         maen_localization=maen_loc,
         localization_accuracy=dln_loc[loc_level],
         maen_localization_accuracy=maen_loc[loc_level],
+        dln_mean_iou={level: float(ious.mean()) for level, ious in dln_iou.items()},
+        maen_mean_iou={level: float(ious.mean()) for level, ious in maen_iou.items()},
+        dln_only_localized=int(np.count_nonzero(dln_hits & ~maen_hits)),
+        maen_only_localized=int(np.count_nonzero(maen_hits & ~dln_hits)),
         pcl_per_part=per_part,
         pcl_average=pcl_avg,
         confusion=matrix.tolist(),

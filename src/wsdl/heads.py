@@ -216,7 +216,7 @@ def head_targets(proposals, level_pseudo_box, image_label: int,
     rois = roi_table(proposals, image_size)
     whole = len(rois) - 1
     pseudo = np.asarray(level_pseudo_box, dtype=np.float64)
-    fg = rpn.iou_matrix(rois, pseudo[None])[:, 0] >= config.fg_iou
+    fg = rpn.iou(rois, pseudo) >= config.fg_iou
 
     fg_idx = np.flatnonzero(fg[:whole])
     bg_idx = np.flatnonzero(~fg[:whole])

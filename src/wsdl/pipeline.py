@@ -61,10 +61,9 @@ class TrainedModel:
         self.dln = dln
         self.heads = heads
         self.config = config
-        self.maen_params = bb.checkpoint_to_params(maen, requires_grad=False)
-        self.rpn_params = bb.checkpoint_to_params(dln, requires_grad=False)
-        self.head_params = {lvl: bb.checkpoint_to_params(c, requires_grad=False)
-                            for lvl, c in heads.items()}
+        self.maen_params = bb.checkpoint_to_params(maen)
+        self.rpn_params = bb.checkpoint_to_params(dln)
+        self.head_params = {lvl: bb.checkpoint_to_params(c) for lvl, c in heads.items()}
         gh, gw = config.backbone.grid_size
         self.anchors = rpn.generate_anchors(gh, gw, config.anchor)
 
@@ -129,11 +128,10 @@ def _check_view(view, config: RunConfig) -> np.ndarray:
 def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
     """Per training image: (pseudo boxes [L,4] in ``tap_levels`` order, last
     stage output), from one pass of the frozen classification network."""
-    maen_params = bb.checkpoint_to_params(maen_ckpt, requires_grad=False)
+    maen_params = bb.checkpoint_to_params(maen_ckpt)
     table = []
     for images in batches(_check_view(view, config)):
-        for boxes, late in att.pseudo_boxes_batch(images, maen_params, config.backbone):
-            table.append((np.asarray([box for _, box in boxes], dtype=np.float64), late))
+        table += att.pseudo_boxes_batch(images, maen_params, config.backbone)
     return table
 
 
@@ -231,7 +229,7 @@ def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
     rng_sample = _rng(config, _S_SAMPLE_HEADS)
     rng_shuffle = _rng(config, _S_SHUFFLE_HEADS)
 
-    rpn_params = bb.checkpoint_to_params(dln_ckpt, requires_grad=False)
+    rpn_params = bb.checkpoint_to_params(dln_ckpt)
     gh, gw = bc.grid_size
     anchors = rpn.generate_anchors(gh, gw, ac)
     proposal_cache = []
@@ -371,7 +369,7 @@ def infer_batch(images, model: TrainedModel) -> list:
 def maen_pseudo_box(image, model: TrainedModel, level: str = "cam") -> att.Box:
     """The classification network's direct pseudo box for one image."""
     boxes, _ = att.pseudo_boxes(np.asarray(image), model.maen_params, model.config.backbone)
-    return dict(boxes)[level]
+    return att.Box(*boxes[model.levels.index(level)].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import Box
 from .autodiff import Tensor
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
@@ -97,27 +96,24 @@ def generate_anchors(grid_h: int, grid_w: int, config: AnchorConfig) -> np.ndarr
     return out.reshape(-1, 4)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union with real-valued areas (half-open boxes)."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+def iou(boxes, others):
+    """Intersection over union of corner-format boxes [...,4] against [...,4],
+    broadcast over the leading axes (a ``Box`` reads as a [4] row); a pair
+    without positive overlap scores 0. Two single boxes give a scalar."""
+    a = np.asarray(boxes, dtype=np.float64)
+    b = np.asarray(others, dtype=np.float64)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    return np.where(inter > 0, inter / union, 0.0)[()]
 
 
 def iou_matrix(boxes: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of [N,4] vs [M,4] corner-format boxes."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    others = np.asarray(others, dtype=np.float64)
-    iw = np.minimum(boxes[:, None, 2], others[None, :, 2]) - np.maximum(boxes[:, None, 0], others[None, :, 0])
-    ih = np.minimum(boxes[:, None, 3], others[None, :, 3]) - np.maximum(boxes[:, None, 1], others[None, :, 1])
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    area_a = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    area_b = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(inter > 0, inter / union, 0.0)
+    """Pairwise ``iou`` of [N,4] vs [M,4] corner-format boxes: [N,M]."""
+    return iou(np.asarray(boxes, dtype=np.float64)[:, None],
+               np.asarray(others, dtype=np.float64)[None])
 
 
 def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -253,8 +249,7 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> list:
 
     A box is kept unless a kept box of higher rank overlaps it with IoU above
     ``iou_thresh``. All pairwise overlaps come from one ``iou_matrix`` call
-    over the score-sorted boxes, whose float64 arithmetic matches ``iou``
-    operation for operation, so the kept set is the pairwise one exactly.
+    over the score-sorted boxes.
     Boxes must be finite with positive extent; ``ValueError`` names the first
     that is not.
     """

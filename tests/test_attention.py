@@ -206,18 +206,67 @@ def test_component_matches_flood_fill_oracle():
             assert (got.x_min, got.y_min, got.x_max, got.y_max) == expected
 
 
-# ---------------------------------------------------------------------------
-# coordinate mapping
+def _serpentine(h, w):
+    """One path that winds through every other row of an h x w grid."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for r in range(1, h, 2):
+        mask[r, w - 1 if r % 4 == 1 else 0] = True
+    return mask
 
 
-def test_to_image_coords():
-    box = Box(1, 1, 3, 3)
-    assert att.to_image_coords(box, 1, (64, 64)) == box
-    assert att.to_image_coords(box, 8, (64, 64)) == Box(8, 8, 24, 24)
-    clipped = att.to_image_coords(Box(1, 1, 9, 9), 8, (64, 64))
-    assert clipped == Box(8, 8, 64, 64)
-    with pytest.raises(ValueError):
-        att.to_image_coords(box, 0, (64, 64))
+def _assert_matches_flood_fill(masks, got):
+    assert got.shape == (len(masks), 4) and got.dtype == np.float64
+    for mask, row in zip(masks, got):
+        expected = flood_fill_bbox(mask)
+        if expected is None:
+            assert np.isnan(row).all()
+        else:
+            assert row.tolist() == list(expected)
+
+
+def test_component_boxes_edge_cases_in_one_call():
+    h, w = 9, 10
+    masks = np.zeros((10, h, w), dtype=bool)
+    masks[1] = True                                        # all true
+    masks[2, 4, 7] = True                                  # one cell
+    masks[3, 0, 0] = masks[3, h - 1, w - 1] = True         # two one-cell ties
+    masks[4, 1, 6:9] = masks[4, 5, 1:4] = True             # ties: the upper row wins
+    masks[5, 2:5, 1] = masks[5, 2, 5:8] = True             # tie: first in row-major order
+    masks[6] = _serpentine(h, w)                           # the longest path
+    masks[7] = ~_serpentine(h, w)
+    masks[8, :, ::2] = True                                # columns, five ties
+    masks[9] = np.eye(h, w, dtype=bool)                    # diagonal cells never touch
+    got = att.component_boxes(masks)
+    _assert_matches_flood_fill(masks, got)
+    assert np.isnan(got[0]).all()
+    assert got[1].tolist() == [0.0, 0.0, w, h]
+    assert got[2].tolist() == [7.0, 4.0, 8.0, 5.0]
+    assert got[5].tolist() == [1.0, 2.0, 2.0, 5.0]
+    assert got[6].tolist() == [0.0, 0.0, w, h]
+
+
+def test_component_boxes_serpentine_on_a_square_grid():
+    masks = np.stack([_serpentine(16, 16), _serpentine(16, 16).T, np.zeros((16, 16), bool)])
+    got = att.component_boxes(masks)
+    _assert_matches_flood_fill(masks, got)
+    assert got[:2].tolist() == [[0.0, 0.0, 16.0, 16.0]] * 2
+
+
+def test_component_boxes_match_flood_fill_over_random_stacks():
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        shape = (rng.integers(1, 9), rng.integers(1, 17), rng.integers(1, 17))
+        masks = rng.random(size=shape) < rng.uniform(0.2, 0.8, size=(shape[0], 1, 1))
+        _assert_matches_flood_fill(masks, att.component_boxes(masks))
+
+
+def test_component_boxes_rejects_bad_shapes():
+    for shape in [(4, 4), (2, 0, 3), (1, 3, 0)]:
+        with pytest.raises(ValueError, match="M,h,w"):
+            att.component_boxes(np.ones(shape, dtype=bool))
+    with pytest.raises(ValueError, match="2-D"):
+        att.largest_component_bbox(np.ones((2, 2, 2), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +282,10 @@ def test_pseudo_boxes_cardinality_and_bounds(small_cfg):
     params = bb.init_maen_params(small_cfg, np.random.default_rng(6))
     image = np.random.default_rng(7).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
     boxes, _ = att.pseudo_boxes(image, params, small_cfg)
-    assert [level for level, _ in boxes] == list(small_cfg.tap_levels)
-    for _, box in boxes:
-        assert 0.0 <= box.x_min < box.x_max <= 64.0
-        assert 0.0 <= box.y_min < box.y_max <= 64.0
+    assert boxes.shape == (len(small_cfg.tap_levels), 4) and boxes.dtype == np.float64
+    for box in boxes:
+        assert 0.0 <= box[0] < box[2] <= 64.0
+        assert 0.0 <= box[1] < box[3] <= 64.0
 
 
 def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
@@ -245,6 +294,18 @@ def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
         p.data[...] = 0.0
     image = np.random.default_rng(9).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
     boxes, _ = att.pseudo_boxes(image, params, small_cfg)
-    for _, box in boxes:
-        assert box == att.whole_image_box(small_cfg.input_size)
+    assert boxes.tolist() == [[0.0, 0.0, 64.0, 64.0]] * len(small_cfg.tap_levels)
+
+
+def test_pseudo_boxes_batch_equals_per_image_across_grid_sizes():
+    config = bb.BackboneConfig(num_classes=3, tap_levels=("mid", "late", "cam"))
+    params = bb.init_maen_params(config, np.random.default_rng(10))
+    images = np.random.default_rng(11).uniform(0, 1, size=(5, 3, 64, 64)).astype(np.float32)
+    batched = att.pseudo_boxes_batch(images, params, config)
+    assert len(batched) == len(images)
+    for image, (boxes, late) in zip(images, batched):
+        want_boxes, want_late = att.pseudo_boxes(image, params, config)
+        assert boxes.shape == (3, 4)
+        assert np.array_equal(boxes, want_boxes)
+        assert np.array_equal(late.data, want_late.data)
 

@@ -317,7 +317,7 @@ def test_sgd_step_rejects_graph_built_under_no_grad():
     w = t([1.0, -2.0])
     opt = ad.SGD({"w": w}, learning_rate=0.1)
     with ad.no_grad():
-        loss = ad.sum_all(ad.mul(w, w))
+        loss = ad.sum_all(ad.add(w, w))
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="no parameter has a gradient"):
         opt.step()
@@ -347,10 +347,10 @@ def test_optimstate_validation():
 # backward
 
 
-def test_backward_square():
+def test_backward_sums_the_paths_of_a_reused_input():
     x = t([3.0])
-    ad.backward(ad.sum_all(ad.mul(x, x)))
-    assert np.allclose(x.grad, [6.0])
+    ad.backward(ad.sum_all(ad.add(x, x)))
+    assert np.array_equal(x.grad, [2.0])
 
 
 def test_backward_sum_gives_ones():

@@ -156,6 +156,23 @@ def test_exit_codes(cli_pipeline, tmp_path):
                 "--out", str(tmp_path / "r2")]) == 2
 
 
+def test_model_commands_reject_configuration_flags(cli_pipeline, tmp_path, cli_cfg, capsys):
+    # infer, eval and bench run the model's saved configuration; a flag that
+    # would change it is a usage error, not silently ignored
+    _, data, model = cli_pipeline
+    image = str(data / "test" / "img_00000.ppm")
+    commands = [
+        ["infer", "--model", str(model), "--image", image],
+        ["eval", "--data", str(data), "--model", str(model), "--out", str(tmp_path / "r")],
+        ["bench", "--data", str(data), "--model", str(model)],
+    ]
+    for command in commands:
+        for flag in (["--seed", "3"], ["--config", str(cli_cfg)], ["--levels", "cam"]):
+            assert run(command + flag) == 1, (command[0], flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_unknown_config_key_fails(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery_knob = 5\n")

@@ -47,6 +47,21 @@ def test_box_metrics_reject_empty_input(metric):
         metric([], [])
 
 
+def test_box_metrics_read_tables_as_box_lists():
+    rng = np.random.default_rng(2)
+    mins = rng.uniform(0, 30, size=(30, 2))
+    pred = np.concatenate([mins, mins + rng.uniform(2, 30, size=(30, 2))], axis=1)
+    gt = np.concatenate([mins + 3, mins + rng.uniform(5, 30, size=(30, 2))], axis=1)
+    points = [[tuple(p) for p in rng.uniform(0, 64, size=(2, 2))] for _ in range(30)]
+    pred_boxes, gt_boxes = [Box(*r) for r in pred], [Box(*r) for r in gt]
+    assert ev.localization_accuracy(pred, gt) == ev.localization_accuracy(pred_boxes, gt_boxes)
+    assert ev.pcl(pred, points) == ev.pcl(pred_boxes, points)
+    with pytest.raises(ValueError, match=r"\[N,4\]"):
+        ev.localization_accuracy(pred[:, :3], gt[:, :3])
+    with pytest.raises(ValueError, match="inconsistent part count"):
+        ev.pcl(pred[:2], [[(1.0, 1.0)], [(1.0, 1.0), (2.0, 2.0)]])
+
+
 def test_pcl_rejects_images_without_part_points():
     with pytest.raises(ValueError, match="at least one part point"):
         ev.pcl([Box(0, 0, 1, 1)], [[]])
@@ -102,22 +117,6 @@ def test_top_confused_ordering():
     m = np.array([[5, 2, 0], [4, 5, 1], [0, 0, 5]])
     pairs = ev.top_confused(m, k=2)
     assert pairs == [(1, 0, 4), (0, 1, 2)]
-
-
-def test_report_roundtrip():
-    report = ev.EvalReport(
-        test_count=4, correct_count=3, accuracy=0.75,
-        per_level_accuracy={"late": 0.5, "cam": 0.75}, full_image_accuracy=0.5,
-        dln_localization={"late": 0.25, "cam": 0.5},
-        maen_localization={"late": 0.25, "cam": 0.25},
-        localization_accuracy=0.5, maen_localization_accuracy=0.25,
-        pcl_per_part=[1.0, 0.5, 0.75], pcl_average=0.75,
-        confusion=[[2, 0], [1, 1]], top_confused_pairs=[(1, 0, 1)],
-        levels=["late", "cam"], timing=None)
-    text = report.to_json()
-    again = ev.EvalReport.from_json(text)
-    assert again == report
-    assert again.to_json() == text
 
 
 def test_bench_requires_enough_images():

@@ -140,6 +140,32 @@ def test_evaluate_makes_one_trunk_pass_per_image(tiny_setup, monkeypatch):
     assert len(passes) == len(sd.TrainView(test_dir))
 
 
+def test_paired_localization_figures_follow_per_image_iou(tiny_setup):
+    model = tiny_setup.model
+    test_dir = os.path.join(tiny_setup.data, "test")
+    view = sd.TrainView(test_dir)
+    annotations = sd.load_annotations(test_dir)
+    report = ev.evaluate_model(model, test_dir)
+    dln = {level: [] for level in model.levels}
+    maen = {level: [] for level in model.levels}
+    for name, image in zip(view.filenames, view.images):
+        gt = annotations[name].object_box
+        pred = pl.infer(image, model)
+        boxes, _ = att.pseudo_boxes(image, model.maen_params, model.config.backbone)
+        for level, box in zip(model.levels, boxes):
+            dln[level].append(rpn.iou(pred.per_level[level].box, gt))
+            maen[level].append(rpn.iou(Box(*box), gt))
+    n = len(view)
+    for level in model.levels:
+        assert report.dln_localization[level] == sum(v > 0.5 for v in dln[level]) / n
+        assert report.maen_localization[level] == sum(v > 0.5 for v in maen[level]) / n
+        assert abs(report.dln_mean_iou[level] - sum(dln[level]) / n) < 1e-12
+        assert abs(report.maen_mean_iou[level] - sum(maen[level]) / n) < 1e-12
+    pairs = list(zip(dln["cam"], maen["cam"]))
+    assert report.dln_only_localized == sum(d > 0.5 >= m for d, m in pairs)
+    assert report.maen_only_localized == sum(m > 0.5 >= d for d, m in pairs)
+
+
 def _assert_same_prediction(got, want):
     """Bit for bit: fused and full-image vectors, class, per-level boxes and scores."""
     assert got.fused.tobytes() == want.fused.tobytes()
@@ -198,7 +224,7 @@ def test_batched_evaluation_equals_per_image_path(tiny_setup, monkeypatch):
     for got, want in zip(batched, reference):
         _assert_same_prediction(got, want)
     for (boxes, _), want in zip(attended, reference_boxes):
-        assert boxes == want
+        assert np.array_equal(boxes, want)
     for got, want in zip(pl.infer_batch(images, model), reference):
         _assert_same_prediction(got, want)
 
@@ -273,7 +299,7 @@ def test_boxes_are_built_only_for_predictions(tiny_setup, monkeypatch):
     model, cfg = tiny_setup.model, tiny_setup.config
     img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
     boxes, late = att.pseudo_boxes(img, model.maen_params, cfg.backbone)
-    pseudo = np.asarray(boxes[-1][1])
+    pseudo = boxes[-1]
     built = _box_builds(monkeypatch)
 
     for run in (pl.infer, pl.infer_separate):

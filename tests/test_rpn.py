@@ -354,16 +354,44 @@ def test_nms_rejects_mismatched_lengths():
     assert rpn.nms(np.zeros((0, 4)), np.zeros(0), 0.5) == []
 
 
-def test_iou_matrix_bit_exact_to_scalar_iou():
-    # nms relies on this: the matrix must reproduce iou exactly, not to a tolerance
-    rng = np.random.default_rng(14)
+def _scalar_iou(a, b) -> float:
+    """IoU of two corner rows, one Python float operation at a time: the
+    per-pair form that the broadcast ``iou`` replaced."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+
+
+def _iou_cases(rng):
     boxes = np.concatenate([_random_boxes(rng, 40), _random_boxes(rng, 8, span=8.0)])
     boxes[:5] = np.round(boxes[:5])
     others = np.concatenate([_random_boxes(rng, 30), boxes[:6]])
+    want = np.array([[_scalar_iou(a, b) for b in others.tolist()] for a in boxes.tolist()])
+    return boxes, others, want
+
+
+def test_iou_matrix_bit_exact_to_scalar_iou():
+    # nms relies on this: the matrix must reproduce the pairwise values exactly,
+    # not to a tolerance
+    boxes, others, want = _iou_cases(np.random.default_rng(14))
     m = rpn.iou_matrix(boxes, others)
+    assert np.array_equal(m, want)
     for i in range(len(boxes)):
         for j in range(len(others)):
             assert m[i, j] == rpn.iou(Box(*boxes[i]), Box(*others[j]))
+
+
+def test_iou_broadcasts_bit_exact_to_scalar_iou():
+    boxes, others, want = _iou_cases(np.random.default_rng(16))
+    assert np.array_equal(rpn.iou(boxes[:, None], others[None]), want)
+    assert np.array_equal(rpn.iou(boxes, others[3]), want[:, 3])
+    assert np.array_equal(rpn.iou(boxes[: len(others)], others), np.diagonal(want))
+    assert np.array_equal(rpn.iou(boxes[:6, None, None], others[None, None]), want[:6, None])
+    single = rpn.iou(Box(*boxes[0]), others[0].tolist())
+    assert np.ndim(single) == 0 and single == want[0, 0]
 
 
 def test_propose_contract(cfg):
