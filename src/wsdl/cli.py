@@ -136,13 +136,14 @@ def _cmd_train(args) -> int:
             ckpt = pl.train_maen(view, config, log)
             bb.save_checkpoint(ckpt, os.path.join(args.out, "maen.ckpt"))
         elif args.stage == "rpn":
-            maen = bb.load_checkpoint(os.path.join(args.out, "maen.ckpt"))
-            ckpt = pl.train_rpn(view, config, maen, log)
+            [maen] = pl.load_checkpoints(args.out, config, ["maen.ckpt"])
+            table = pl.pseudo_box_table(view, config, maen)
+            ckpt = pl.train_rpn(view, config, table, log)
             bb.save_checkpoint(ckpt, os.path.join(args.out, "dln.ckpt"))
         else:  # heads
-            maen = bb.load_checkpoint(os.path.join(args.out, "maen.ckpt"))
-            dln = bb.load_checkpoint(os.path.join(args.out, "dln.ckpt"))
-            heads = pl.train_heads(view, config, maen, dln, log)
+            maen, dln = pl.load_checkpoints(args.out, config, ["maen.ckpt", "dln.ckpt"])
+            table = pl.pseudo_box_table(view, config, maen)
+            heads = pl.train_heads(view, config, table, dln, log)
             for level, ckpt in heads.items():
                 bb.save_checkpoint(ckpt, os.path.join(args.out, f"head_{level}.ckpt"))
     finally:

@@ -9,7 +9,7 @@ the heads. Unknown keys are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .backbone import BackboneConfig
 from .heads import HeadConfig
@@ -17,6 +17,7 @@ from .rpn import AnchorConfig
 from .synthdata import GenConfig
 
 _EXCLUDED_FIELDS = {"glyphs"}  # structured, not expressible as one line
+_DERIVED = {"input_size": "image_size", "stride": "stage_channels"}  # key -> key it follows
 
 
 @dataclass
@@ -45,12 +46,6 @@ class TrainConfig:
 
 def _parse_like(template, raw: str):
     raw = raw.strip()
-    if isinstance(template, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
@@ -79,6 +74,7 @@ class RunConfig:
     backbone: BackboneConfig
     anchor: AnchorConfig
     head: HeadConfig
+    pinned: dict = field(default_factory=dict)  # derived keys set explicitly
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -110,9 +106,12 @@ class RunConfig:
                 hit = True
         if not hit:
             raise KeyError(f"unknown configuration key: {key!r}")
+        if key in _DERIVED:
+            self.pinned[key] = parsed
 
     def sync_derived(self):
-        """Re-derive cross-config facts and re-run dataclass validation."""
+        """Re-derive cross-config facts and re-run dataclass validation. A derived
+        key set explicitly to another value raises ``ValueError``."""
         self.backbone.input_size = self.gen.image_size
         self.backbone.num_classes = self.gen.num_classes
         self.head.num_classes = self.gen.num_classes
@@ -122,6 +121,11 @@ class RunConfig:
         self.train = replace(self.train)
         self.anchor = replace(self.anchor)
         self.head = replace(self.head)
+        for key, value in self.pinned.items():
+            derived = self.schema()[key]
+            if value != derived:
+                raise ValueError(f"{key} = {_format_value(value)} disagrees with "
+                                 f"{_DERIVED[key]}, which sets it to {_format_value(derived)}")
 
     def to_lines(self) -> str:
         schema = self.schema()
@@ -137,8 +141,6 @@ class RunConfig:
             key, _, raw = stripped.partition("=")
             try:
                 self.set_key(key.strip(), raw)
-            except KeyError:
-                raise
             except ValueError as exc:
                 raise ValueError(f"{source}:{line_no}: bad value for {key.strip()!r}: {exc}") from exc
 

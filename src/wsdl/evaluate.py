@@ -31,6 +31,7 @@ from . import synthdata as sd
 
 LOCALIZATION_LEVEL = "cam"  # boxes scored against the object annotation
 LOCALIZATION_IOU = 0.5      # a localization counts when its IoU exceeds this
+BENCH_MIN_IMAGES = 100      # fewest images a bench run accepts
 
 
 def accuracy(predictions, labels) -> float:
@@ -219,8 +220,7 @@ def write_report(report: EvalReport, out_dir):
 # benchmark
 
 
-def bench(model: pl.TrainedModel, images, mode: str, repeats: int = 5,
-          min_images: int = 100) -> float:
+def bench(model: pl.TrainedModel, images, mode: str, repeats: int = 5) -> float:
     """Median images/second over ``repeats`` timed passes (one warm-up pass excluded).
 
     ``shared`` runs the n-pathway once per image; ``separate`` runs one full
@@ -228,8 +228,8 @@ def bench(model: pl.TrainedModel, images, mode: str, repeats: int = 5,
     """
     if repeats < 1:
         raise ValueError(f"bench needs repeats >= 1, got {repeats}")
-    if len(images) < min_images:
-        raise ValueError(f"bench needs at least {min_images} images, got {len(images)}")
+    if len(images) < BENCH_MIN_IMAGES:
+        raise ValueError(f"bench needs at least {BENCH_MIN_IMAGES} images, got {len(images)}")
     if mode == "shared":
         run = pl.infer
     elif mode == "separate":

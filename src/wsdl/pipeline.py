@@ -64,8 +64,7 @@ class TrainedModel:
         self.maen_params = bb.checkpoint_to_params(maen)
         self.rpn_params = bb.checkpoint_to_params(dln)
         self.head_params = {lvl: bb.checkpoint_to_params(c) for lvl, c in heads.items()}
-        gh, gw = config.backbone.grid_size
-        self.anchors = rpn.generate_anchors(gh, gw, config.anchor)
+        self.anchors = rpn.generate_anchors(*config.backbone.grid_size, config.anchor)
 
     @property
     def levels(self) -> tuple:
@@ -86,35 +85,62 @@ def _sgd_step(opt: ad.SGD, loss: Tensor) -> float:
 
 # One function per training step: the step's graph (im2col columns,
 # activations, closures) is freed when it returns, not kept alive while the
-# next step's forward builds.
+# next step's forward builds. Each returns (loss, its weight in the epoch's
+# mean loss, correct items, items counted for accuracy).
 
 
 def _maen_step(params: dict, opt: ad.SGD, images: np.ndarray, labels: np.ndarray,
                bc) -> tuple:
-    """One stage-1 step on a batch: (loss, correctly classified images)."""
+    """One stage-1 step on a batch, weighted by its images."""
     probs = ad.softmax(bb.maen_forward(params, Tensor(images), bc).cam_logits)
     loss = _sgd_step(opt, ad.cross_entropy(probs, labels))
-    return loss, int((probs.data.argmax(axis=1) == labels).sum())
+    return loss, len(labels), int((probs.data.argmax(axis=1) == labels).sum()), len(labels)
 
 
 def _rpn_step(params: dict, opt: ad.SGD, late: Tensor, batch: rpn.AnchorBatch,
               ac) -> tuple:
-    """One stage-2 step on one image's sampled anchors: (loss, correct anchors)."""
+    """One stage-2 step on one image's sampled anchors."""
     probs, deltas = rpn.rpn_forward(params, late, ac)
     loss = _sgd_step(opt, rpn.rpn_loss(probs, deltas, batch, ac))
     predicted = probs.data.argmax(axis=1)[batch.sampled]
-    return loss, int((predicted == batch.labels[batch.sampled]).sum())
+    return loss, 1, int((predicted == batch.labels[batch.sampled]).sum()), len(batch.sampled)
 
 
 def _head_step(params: dict, opt: ad.SGD, pooled: np.ndarray, cls_t: np.ndarray,
                delta_t: np.ndarray, fg: np.ndarray, hc) -> tuple:
-    """One stage-3 step on one image's RoIs at one level: (loss, correct RoIs)."""
+    """One stage-3 step on one image's RoIs at one level."""
     scores, deltas = hd.head_forward(params, pooled, hc)
     loss = _sgd_step(opt, hd.head_loss(scores, deltas, cls_t, delta_t, fg))
-    return loss, int((scores.data.argmax(axis=1) == cls_t).sum())
+    return loss, 1, int((scores.data.argmax(axis=1) == cls_t).sum()), len(cls_t)
 
 
-def _check_view(view, config: RunConfig) -> np.ndarray:
+def _epochs(stage: str, config: RunConfig, opts, steps, n: int, log_fn):
+    """The schedule of every stage: each of ``epochs_<stage>`` epochs runs the
+    steps that ``steps(perm)`` yields for a fresh permutation of the ``n``
+    training images. At epoch ``decay_epoch_<stage>`` every optimizer of
+    ``opts`` divides its learning rate by ``decay_factor``, once. Logs one
+    ``LOG_LINE`` per epoch: the weighted mean loss and the accuracy."""
+    ad.enable_buffer_reuse()
+    tc = config.train
+    number = ("maen", "rpn", "heads").index(stage) + 1
+    rng_shuffle = _rng(config, (_S_SHUFFLE_MAEN, _S_SHUFFLE_RPN, _S_SHUFFLE_HEADS)[number - 1])
+    for epoch in range(getattr(tc, f"epochs_{stage}")):
+        if epoch == getattr(tc, f"decay_epoch_{stage}"):
+            for opt in opts:
+                opt.learning_rate = opt.learning_rate / tc.decay_factor
+        loss_sum = 0.0
+        weight = correct = counted = 0
+        for loss, w, c, k in steps(rng_shuffle.permutation(n)):
+            loss_sum += loss * w
+            weight += w
+            correct += c
+            counted += k
+        if log_fn:
+            log_fn(LOG_LINE.format(stage=number, epoch=epoch + 1, loss=loss_sum / weight,
+                                   acc=correct / counted))
+
+
+def _check_view(view, config: RunConfig):
     n_classes = int(view.labels.max()) + 1
     if n_classes < 2:
         raise ValueError(f"dataset must have at least 2 classes, found {n_classes}")
@@ -122,150 +148,91 @@ def _check_view(view, config: RunConfig) -> np.ndarray:
         raise ValueError(
             f"dataset has {n_classes} classes but the backbone is configured "
             f"for {config.backbone.num_classes}")
-    return np.stack(view.images)
 
 
 def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
     """Per training image: (pseudo boxes [L,4] in ``tap_levels`` order, last
     stage output), from one pass of the frozen classification network."""
+    _check_view(view, config)
     maen_params = bb.checkpoint_to_params(maen_ckpt)
     table = []
-    for images in batches(_check_view(view, config)):
+    for images in batches(view.images):
         table += att.pseudo_boxes_batch(images, maen_params, config.backbone)
     return table
 
 
 def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
     """Stage 1: the attention-extraction classifier on image-level labels."""
-    ad.enable_buffer_reuse()
-    log = log_fn or (lambda line: None)
     tc, bc = config.train, config.backbone
-    images = _check_view(view, config)
-    labels = view.labels
-    n = len(view)
-
-    rng_shuffle = _rng(config, _S_SHUFFLE_MAEN)
+    _check_view(view, config)
+    images, labels = np.stack(view.images), view.labels
     params = bb.init_maen_params(bc, _rng(config, _S_INIT_MAEN))
     opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
-    for epoch in range(tc.epochs_maen):
-        if epoch == tc.decay_epoch_maen:
-            opt.learning_rate = opt.learning_rate / tc.decay_factor
-        perm = rng_shuffle.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, tc.batch_maen):
+
+    def steps(perm):
+        for start in range(0, len(perm), tc.batch_maen):
             idx = perm[start : start + tc.batch_maen]
-            loss, hits = _maen_step(params, opt, images[idx], labels[idx], bc)
-            loss_sum += loss * len(idx)
-            correct += hits
-        log(LOG_LINE.format(stage=1, epoch=epoch + 1, loss=loss_sum / n, acc=correct / n))
+            yield _maen_step(params, opt, images[idx], labels[idx], bc)
+
+    _epochs("maen", config, [opt], steps, len(view), log_fn)
     return bb.params_to_checkpoint(params, "maen")
 
 
-def train_rpn(view, config: RunConfig, maen_ckpt: bb.Checkpoint, log_fn=None,
-              table: list | None = None) -> bb.Checkpoint:
+def train_rpn(view, config: RunConfig, table: list, log_fn=None) -> bb.Checkpoint:
     """Stage 2: proposal head over the stage-1 conv stages, kept frozen.
 
     Freezing the trunk preserves the class separability of the shared map for
     the stage-3 heads; fine-tuning the whole stack on pure objectness erases
     it within one epoch at this scale. The frozen trunk also lets every epoch
-    reuse the one pass per image that ``table`` (a ``pseudo_box_table``, built
-    here when not given) cached. The returned checkpoint holds only the
-    ``rpn.*`` parameters; the trunk stays in ``maen_ckpt``.
+    reuse the one pass per image that ``table`` (a ``pseudo_box_table``)
+    cached. The returned checkpoint holds only the ``rpn.*`` parameters.
     """
-    ad.enable_buffer_reuse()
-    log = log_fn or (lambda line: None)
     tc, bc, ac = config.train, config.backbone, config.anchor
-    n = len(view)
-    if table is None:
-        table = pseudo_box_table(view, config, maen_ckpt)
-
     rng_init = _rng(config, _S_INIT_DLN)
     rng_sample = _rng(config, _S_SAMPLE_RPN)
-    rng_shuffle = _rng(config, _S_SHUFFLE_RPN)
-
     # Drawn and thrown away: it keeps the proposal head's random draws where
     # they were, and with them every trained model.
     bb.init_stage_params(bc, rng_init)
     params = rpn.init_rpn_params(bc.stage_channels[-1], ac, rng_init)
-
-    gh, gw = bc.grid_size
-    anchors = rpn.generate_anchors(gh, gw, ac)
-    batches = [rpn.label_anchors(anchors, boxes, ac, rng_sample) for boxes, _ in table]
-
+    anchors = rpn.generate_anchors(*bc.grid_size, ac)
+    anchor_batches = [rpn.label_anchors(anchors, boxes, ac, rng_sample) for boxes, _ in table]
     opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
-    for epoch in range(tc.epochs_rpn):
-        if epoch == tc.decay_epoch_rpn:
-            opt.learning_rate = opt.learning_rate / tc.decay_factor
-        perm = rng_shuffle.permutation(n)
-        loss_sum = 0.0
-        hit = total = 0
+
+    def steps(perm):
         for i in perm:
-            batch = batches[i]
+            batch = anchor_batches[i]
             batch.sampled = rpn.sample_for_loss(batch.labels, ac, rng_sample)
-            loss, hits = _rpn_step(params, opt, table[i][1], batch, ac)
-            loss_sum += loss
-            hit += hits
-            total += len(batch.sampled)
-        log(LOG_LINE.format(stage=2, epoch=epoch + 1, loss=loss_sum / n, acc=hit / total))
+            yield _rpn_step(params, opt, table[i][1], batch, ac)
+
+    _epochs("rpn", config, [opt], steps, len(view), log_fn)
     return bb.params_to_checkpoint(params, "dln")
 
 
-def train_heads(view, config: RunConfig, maen_ckpt: bb.Checkpoint,
-                dln_ckpt: bb.Checkpoint, log_fn=None,
-                table: list | None = None) -> dict:
+def train_heads(view, config: RunConfig, table: list, dln_ckpt: bb.Checkpoint,
+                log_fn=None) -> dict:
     """Stage 3: per-level heads over frozen shared features and frozen proposals,
-    both read from ``table``'s cached maps (built here when not given)."""
-    ad.enable_buffer_reuse()
-    log = log_fn or (lambda line: None)
+    both read from ``table``'s cached maps."""
     tc, bc, ac, hc = config.train, config.backbone, config.anchor, config.head
-    labels = view.labels
-    n = len(view)
-    image_size = bc.input_size
-    if table is None:
-        table = pseudo_box_table(view, config, maen_ckpt)
-
     rng_init = _rng(config, _S_INIT_HEADS)
     rng_sample = _rng(config, _S_SAMPLE_HEADS)
-    rng_shuffle = _rng(config, _S_SHUFFLE_HEADS)
-
-    rpn_params = bb.checkpoint_to_params(dln_ckpt)
-    gh, gw = bc.grid_size
-    anchors = rpn.generate_anchors(gh, gw, ac)
-    proposal_cache = []
-    with ad.no_grad():
-        for _, late in table:
-            probs, deltas = rpn.rpn_forward(rpn_params, late, ac)
-            proposal_cache.append(rpn.propose(probs, deltas, anchors, ac, image_size))
-
-    shared_channels = bc.stage_channels[-1]
-    params = {}
-    opts = {}
-    for level in bc.tap_levels:
-        params[level] = hd.init_head_params(hc, shared_channels, rng_init)
-        opts[level] = ad.SGD(params[level], tc.learning_rate, tc.momentum, tc.weight_decay)
-
+    proposals = _proposals(bb.checkpoint_to_params(dln_ckpt), [late for _, late in table],
+                           rpn.generate_anchors(*bc.grid_size, ac), config)
+    params = {level: hd.init_head_params(hc, bc.stage_channels[-1], rng_init)
+              for level in bc.tap_levels}
+    opts = {level: ad.SGD(p, tc.learning_rate, tc.momentum, tc.weight_decay)
+            for level, p in params.items()}
     stride = bc.tap_stride("late")
-    for epoch in range(tc.epochs_heads):
-        if epoch == tc.decay_epoch_heads:
-            for opt in opts.values():
-                opt.learning_rate = opt.learning_rate / tc.decay_factor
-        perm = rng_shuffle.permutation(n)
-        loss_sum = 0.0
-        hit = total = 0
+
+    def steps(perm):
         for i in perm:
             boxes, late = table[i]
             for level, box in zip(bc.tap_levels, boxes):
                 rois, cls_t, delta_t, fg = hd.head_targets(
-                    proposal_cache[i], box, int(labels[i]), hc, rng_sample, image_size)
+                    proposals[i], box, int(view.labels[i]), hc, rng_sample, bc.input_size)
                 pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
-                loss, hits = _head_step(params[level], opts[level], pooled,
-                                        cls_t, delta_t, fg, hc)
-                loss_sum += loss
-                hit += hits
-                total += len(cls_t)
-        steps = n * len(bc.tap_levels)
-        log(LOG_LINE.format(stage=3, epoch=epoch + 1, loss=loss_sum / steps, acc=hit / total))
+                yield _head_step(params[level], opts[level], pooled, cls_t, delta_t, fg, hc)
+
+    _epochs("heads", config, opts.values(), steps, len(view), log_fn)
     return {level: bb.params_to_checkpoint(params[level], f"head.{level}")
             for level in bc.tap_levels}
 
@@ -274,8 +241,8 @@ def train_stagewise(view, config: RunConfig, log_fn=None) -> TrainedModel:
     """All three stages in order over a training view (images and labels only)."""
     maen_ckpt = train_maen(view, config, log_fn)
     table = pseudo_box_table(view, config, maen_ckpt)
-    dln_ckpt = train_rpn(view, config, maen_ckpt, log_fn, table=table)
-    head_ckpts = train_heads(view, config, maen_ckpt, dln_ckpt, log_fn, table=table)
+    dln_ckpt = train_rpn(view, config, table, log_fn)
+    head_ckpts = train_heads(view, config, table, dln_ckpt, log_fn)
     return TrainedModel(maen_ckpt, dln_ckpt, head_ckpts, config)
 
 
@@ -303,26 +270,37 @@ def _trunk(image, model: TrainedModel) -> Tensor:
                                 model.config.backbone)[-1]
 
 
+def _proposals(rpn_params: dict, lates: list, anchors: np.ndarray, config: RunConfig) -> list:
+    """The proposals [K,4] of each [1,C,h,w] map of ``lates``: one
+    proposal-network pass per ``BATCH`` of maps, then ``rpn.propose`` per map."""
+    proposals = []
+    with ad.no_grad():
+        for group in batches(lates):
+            probs, deltas = rpn.rpn_forward(
+                rpn_params, Tensor(np.concatenate([late.data for late in group])), config.anchor)
+            for p, d in zip(np.split(probs.data, len(group)), np.split(deltas.data, len(group))):
+                proposals.append(rpn.propose(p, d, anchors, config.anchor,
+                                             config.backbone.input_size))
+    return proposals
+
+
 def _infer(model: TrainedModel, groups) -> list:
     """One prediction per image of a batch. ``groups`` holds, per image, its
     (levels, last stage output [1,C,h,w]) passes, which cover ``model.levels``
-    in order. One proposal-network pass reads every map of the batch stacked;
-    each map then gets its own proposals, pooled RoIs and the heads of its
-    levels, and each image its own refined boxes and fused scores."""
-    bc, ac, hc = model.config.backbone, model.config.anchor, model.config.head
+    in order. Each map gets its own proposals (``_proposals``), pooled RoIs and
+    the heads of its levels, and each image its own refined boxes and fused
+    scores."""
+    bc, hc = model.config.backbone, model.config.head
     image_size = bc.input_size
     stride = bc.tap_stride("late")
     lates = [late for passes in groups for _, late in passes]
+    per_map = zip(lates, _proposals(model.rpn_params, lates, model.anchors, model.config))
     predictions = []
     with ad.no_grad():
-        probs, deltas = rpn.rpn_forward(
-            model.rpn_params, Tensor(np.concatenate([late.data for late in lates])), ac)
-        per_map = zip(lates, np.split(probs.data, len(lates)), np.split(deltas.data, len(lates)))
         for passes in groups:
             scores, chosen_deltas, chosen_proposals, fulls = {}, [], [], []
             for levels, _ in passes:
-                late, map_probs, map_deltas = next(per_map)
-                proposals = rpn.propose(map_probs, map_deltas, model.anchors, ac, image_size)
+                late, proposals = next(per_map)
                 if not len(proposals):
                     proposals = hd.roi_table(proposals, image_size)
                 rois = hd.roi_table(proposals, image_size)
@@ -402,21 +380,26 @@ def _check_layout(ckpt: bb.Checkpoint, path, stage_tag: str, expected: dict):
                              f"{ckpt.params[name].shape}, expected {t.shape}")
 
 
+def load_checkpoints(model_dir, config: RunConfig, names=None) -> list:
+    """The checkpoints ``names`` of a model directory (all, in ``save_model``'s
+    order, by default), each checked against the layout ``config`` gives it;
+    a mismatch raises ``ValueError`` naming the file."""
+    bc = config.backbone
+    rng = np.random.default_rng(0)  # only the shapes of the initial tables are used
+    head = hd.init_head_params(config.head, bc.stage_channels[-1], rng)
+    layouts = {"maen.ckpt": ("maen", bb.init_maen_params(bc, rng)),
+               "dln.ckpt": ("dln", rpn.init_rpn_params(bc.stage_channels[-1], config.anchor, rng)),
+               **{f"head_{level}.ckpt": (f"head.{level}", head) for level in bc.tap_levels}}
+    ckpts = []
+    for name in names or layouts:
+        path = os.path.join(model_dir, name)
+        ckpts.append(bb.load_checkpoint(path))
+        _check_layout(ckpts[-1], path, *layouts[name])
+    return ckpts
+
+
 def load_model(model_dir) -> TrainedModel:
     """Load a saved model, checking every checkpoint against ``model_config.txt``."""
     config = load_run_config(os.path.join(model_dir, "model_config.txt"))
-    bc = config.backbone
-    rng = np.random.default_rng(0)  # only the shapes of the initial tables are used
-    layouts = {"maen.ckpt": ("maen", bb.init_maen_params(bc, rng)),
-               "dln.ckpt": ("dln", rpn.init_rpn_params(bc.stage_channels[-1],
-                                                       config.anchor, rng))}
-    head = hd.init_head_params(config.head, bc.stage_channels[-1], rng)
-    for level in bc.tap_levels:
-        layouts[f"head_{level}.ckpt"] = (f"head.{level}", head)
-    ckpts = []
-    for name, (stage_tag, expected) in layouts.items():
-        path = os.path.join(model_dir, name)
-        ckpts.append(bb.load_checkpoint(path))
-        _check_layout(ckpts[-1], path, stage_tag, expected)
-    maen, dln, *heads = ckpts
-    return TrainedModel(maen, dln, dict(zip(bc.tap_levels, heads)), config)
+    maen, dln, *heads = load_checkpoints(model_dir, config)
+    return TrainedModel(maen, dln, dict(zip(config.backbone.tap_levels, heads)), config)

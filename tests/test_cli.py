@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -92,6 +93,31 @@ def test_staged_training_matches_single_run(cli_pipeline, tmp_path, cli_cfg):
         assert list(a.params) == list(b.params)
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key]), (name, key)
+
+
+def test_stage_retraining_checks_loaded_checkpoints(cli_pipeline, tmp_path, cli_cfg, capsys):
+    _, data, model = cli_pipeline
+    two_class = tmp_path / "data2"
+    assert run(["gen-data", "--out", str(two_class), "--seed", "5",
+                "--config", str(_write_cfg(tmp_path / "two.cfg", num_classes=2))]) == 0
+    wide_rpn = tmp_path / "wide.cfg"
+    wide_rpn.write_text(cli_cfg.read_text() + "rpn_channels = 64\n", encoding="utf-8")
+    cases = [  # stage, dataset, config, the error
+        ("rpn", two_class, cli_cfg, r"maen\.ckpt: parameter 'cam\.fc\.weight' has shape"),
+        ("heads", two_class, cli_cfg, r"maen\.ckpt: parameter 'cam\.fc\.weight' has shape"),
+        ("heads", data, wide_rpn, r"dln\.ckpt: parameter 'rpn\.conv\.weight' has shape"),
+    ]
+    for k, (stage, dataset, cfg, error) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        for name in ("maen.ckpt", "dln.ckpt"):
+            shutil.copy(model / name, out / name)
+        capsys.readouterr()
+        assert run(["train", "--data", str(dataset), "--out", str(out), "--seed", "13",
+                    "--config", str(cfg), "--stage", stage]) == 2
+        assert re.search(error, capsys.readouterr().err)
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["dln.ckpt", "maen.ckpt"]
+        assert (out / "dln.ckpt").read_bytes() == (model / "dln.ckpt").read_bytes()
 
 
 def test_eval_report(cli_pipeline, tmp_path):

@@ -56,7 +56,7 @@ def test_apply_text_errors():
     assert cfg.train.seed == 9
 
 
-def test_sync_derived_follows_backbone():
+def test_sync_derived_follows_backbone(tmp_path):
     cfg = RunConfig.default()
     cfg.set_key("stage_channels", "8,16")
     cfg.set_key("image_size", "32,32")
@@ -64,6 +64,21 @@ def test_sync_derived_follows_backbone():
     assert cfg.backbone.input_size == (32, 32)
     assert cfg.anchor.stride == 4
     assert cfg.backbone.grid_size == (8, 8)
+    # a saved config carries the derived values, and loads
+    path = tmp_path / "model_config.txt"
+    path.write_text(cfg.to_lines(), encoding="utf-8")
+    assert "stride = 4" in cfg.to_lines() and "input_size = 32,32" in cfg.to_lines()
+    assert load_run_config(path).to_lines() == cfg.to_lines()
+
+
+@pytest.mark.parametrize("key, raw, follows", [
+    ("input_size", "32,32", "image_size"), ("stride", "4", "stage_channels"),
+])
+def test_derived_key_that_disagrees_is_rejected(tmp_path, key, raw, follows):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{key} = {raw} disagrees with {follows}"):
+        load_run_config(path)
 
 
 def test_train_config_validation():

@@ -1,5 +1,6 @@
 import builtins
 import math
+from collections import Counter
 import os
 import re
 import weakref
@@ -78,12 +79,60 @@ def test_each_training_step_frees_its_graph(tiny_setup, monkeypatch, stage):
     elif stage == 2:
         alive = _graphs_alive_at_next_forward(monkeypatch, rpn, "rpn_forward",
                                               lambda out: out[0].data)
-        pl.train_rpn(view, cfg, model.maen, table=table)
+        pl.train_rpn(view, cfg, table)
     else:
         alive = _graphs_alive_at_next_forward(monkeypatch, hd, "head_forward",
                                               lambda out: out[0].data)
-        pl.train_heads(view, cfg, model.maen, model.dln, table=table)
+        pl.train_heads(view, cfg, table, model.dln)
     assert len(alive) > 1 and not any(alive)
+
+
+def test_each_stage_decays_its_learning_rate_once(tmp_path, monkeypatch):
+    # three epochs, so that a second decay at epoch 2 would show
+    cfg = tiny_config(train_count=20, test_count=4, epochs_maen=3, epochs_rpn=3,
+                      epochs_heads=3, decay_epoch_maen=1, decay_epoch_rpn=1,
+                      decay_epoch_heads=1)
+    sd.generate_dataset(cfg.gen, tmp_path)
+    view = sd.TrainView(os.path.join(tmp_path, "train"))
+    rates = {}  # optimizer -> the learning rate of each of its steps
+    real = ad.SGD.step
+
+    def recording(self):
+        rates.setdefault(self, []).append(self.learning_rate)
+        real(self)
+
+    monkeypatch.setattr(ad.SGD, "step", recording)
+    pl.train_stagewise(view, cfg)
+    n, tc = len(view), cfg.train
+    # stage 1, stage 2, then one optimizer per stage-3 level
+    steps_per_epoch = [math.ceil(n / tc.batch_maen), n] + [n] * len(cfg.backbone.tap_levels)
+    decayed = tc.learning_rate / tc.decay_factor
+    assert [len(r) for r in rates.values()] == [3 * k for k in steps_per_epoch]
+    for r, k in zip(rates.values(), steps_per_epoch):
+        assert r == [tc.learning_rate] * k + [decayed] * (2 * k)
+
+
+def test_stage3_proposals_equal_per_image_propose(tiny_setup, monkeypatch):
+    view, cfg, model = tiny_setup.view, tiny_setup.config, tiny_setup.model
+    table = pl.pseudo_box_table(view, cfg, model.maen)
+    assert len(table) > pl.BATCH and len(table) % pl.BATCH  # a short last batch
+    with ad.no_grad():
+        want = [rpn.propose(*rpn.rpn_forward(model.rpn_params, late, cfg.anchor), model.anchors,
+                            cfg.anchor, cfg.backbone.input_size) for _, late in table]
+    used = []
+    real = hd.head_targets
+
+    def recording(proposals, box, label, *rest):
+        used.append((proposals.shape, proposals.tobytes(), box.tobytes(), label))
+        return real(proposals, box, label, *rest)
+
+    monkeypatch.setattr(hd, "head_targets", recording)
+    pl.train_heads(view, cfg, table, model.dln)
+    expected = Counter((p.shape, p.tobytes(), box.tobytes(), int(label))
+                       for (boxes, _), p, label in zip(table, want, view.labels)
+                       for box in boxes)
+    epochs = cfg.train.epochs_heads
+    assert Counter(used) == Counter({k: v * epochs for k, v in expected.items()})
 
 
 def test_log_format_and_stage_ordering(tiny_setup):
