@@ -219,9 +219,8 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
     levels = config.tap_levels
     maps, lates = [], []
     for image in images:
-        with ad.no_grad():
-            fs = bb.maen_forward(maen_params, Tensor(np.asarray(image)[None]), config)
-            predicted = int(ad.softmax(fs.cam_logits).data[0].argmax())
+        fs = bb.maen_forward(maen_params, Tensor(np.asarray(image)[None]), config)
+        predicted = int(ad.softmax(fs.cam_logits).data[0].argmax())
         for level in levels:
             fmap = fs.taps[level].data[0]
             if level == "cam":

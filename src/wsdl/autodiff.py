@@ -1,26 +1,26 @@
 """Dense tensors, reverse-mode differentiation, and momentum SGD.
 
 Tensors wrap numpy arrays (float32 for training storage, float64 in tests
-and oracles). Every operation that touches a gradient-requiring input
-records its inputs and a gradient closure on the output; ``backward`` walks
-the recorded graph once in reverse topological order and accumulates
-adjoints additively into the ``.grad`` of its leaves, the tensors that no
-recorded operation produced; intermediate tensors keep ``.grad`` None. A
-graph lives as long as a reference to its output does, so a training step
-that drops its loss frees its whole graph. Only the operation set needed by
-the localization pipeline is provided.
+and oracles). Whether an operation records a graph depends only on its
+inputs: one that touches a gradient-requiring input records its inputs and
+a gradient closure on the output, and one over frozen tensors only (images,
+loaded checkpoint tables) records nothing. ``backward`` walks the recorded
+graph once in reverse topological order and accumulates adjoints additively
+into the ``.grad`` of its leaves, the tensors that no recorded operation
+produced; intermediate tensors keep ``.grad`` None. A graph lives as long as
+a reference to its output does, so a training step that drops its loss frees
+its whole graph. Only the operation set needed by the localization pipeline
+is provided.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
 CROSS_ENTROPY_EPS = 1e-12
 
-_grad_enabled = True
 _fast_malloc_done = False
 
 
@@ -48,22 +48,6 @@ def enable_buffer_reuse():
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph recording inside the block (frozen-parameter inference).
-
-    Grad mode is one process-global flag, not per thread: a block entered in
-    one thread turns recording off for every thread until it exits.
-    """
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -105,7 +89,7 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn
@@ -531,11 +515,11 @@ class SGD:
         every parameter with a gradient; the rest keep their values.
 
         Raises ``RuntimeError`` when no parameter has a gradient, as when the
-        loss was built under ``no_grad`` and ``backward`` reached nothing.
+        loss was built from frozen copies and ``backward`` reached nothing.
         """
         if all(p.grad is None for p in self.params.values()):
             raise RuntimeError("SGD.step: no parameter has a gradient "
-                               "(was the loss built under no_grad?)")
+                               "(was the loss built from frozen tensors?)")
         for name, p in self.params.items():
             if p.grad is None:
                 continue

@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import backbone as bb
 from . import evaluate as ev
 from . import pipeline as pl
 from . import synthdata as sd
@@ -27,11 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _add_common(p: _Parser, *names):
@@ -63,7 +59,8 @@ def build_parser() -> _Parser:
     _add_common(p, "data", "out")
     _add_config(p)
     p.add_argument("--stage", choices=("maen", "rpn", "heads", "all"), default="all",
-                   help="which training stage to run (later stages load earlier checkpoints)")
+                   help="first stage to train; every later stage is retrained, "
+                        "earlier ones are loaded from --out")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("infer", help="classify and localize images")
@@ -95,9 +92,9 @@ def _build_config(args) -> RunConfig:
     return config
 
 
-def _echo_config(config: RunConfig, out_dir, name="run_config.txt"):
+def _echo_config(config: RunConfig, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "run_config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(config.to_lines())
 
 
@@ -109,9 +106,18 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _open_log(out_dir):
+def _open_log(out_dir, first_stage: int):
+    """``train_log.txt`` for a run from ``first_stage`` on, keeping only the
+    records of the earlier stages, whose checkpoints the run keeps."""
     os.makedirs(out_dir, exist_ok=True)
-    log_file = open(os.path.join(out_dir, "train_log.txt"), "a", encoding="utf-8", newline="\n")
+    path = os.path.join(out_dir, "train_log.txt")
+    keep = tuple(f"stage={s} " for s in range(1, first_stage))
+    kept = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            kept = [line for line in fh if line.startswith(keep)]
+    log_file = open(path, "w", encoding="utf-8", newline="\n")
+    log_file.writelines(kept)
 
     def log(line):
         print(line)
@@ -127,28 +133,14 @@ def _cmd_train(args) -> int:
     config.set_key("num_classes", str(view.num_classes))
     config.sync_derived()
 
-    log, log_file = _open_log(args.out)
+    # the stages before --stage keep their checkpoints in --out
+    kept = pl.load_checkpoints(args.out, config, {"rpn": 1, "heads": 2}.get(args.stage, 0))
+    log, log_file = _open_log(args.out, len(kept) + 1)
     try:
-        if args.stage == "all":
-            model = pl.train_stagewise(view, config, log)
-            pl.save_model(model, args.out)
-        elif args.stage == "maen":
-            ckpt = pl.train_maen(view, config, log)
-            bb.save_checkpoint(ckpt, os.path.join(args.out, "maen.ckpt"))
-        elif args.stage == "rpn":
-            [maen] = pl.load_checkpoints(args.out, config, ["maen.ckpt"])
-            table = pl.pseudo_box_table(view, config, maen)
-            ckpt = pl.train_rpn(view, config, table, log)
-            bb.save_checkpoint(ckpt, os.path.join(args.out, "dln.ckpt"))
-        else:  # heads
-            maen, dln = pl.load_checkpoints(args.out, config, ["maen.ckpt", "dln.ckpt"])
-            table = pl.pseudo_box_table(view, config, maen)
-            heads = pl.train_heads(view, config, table, dln, log)
-            for level, ckpt in heads.items():
-                bb.save_checkpoint(ckpt, os.path.join(args.out, f"head_{level}.ckpt"))
+        model = pl.train_stagewise(view, config, log, kept)
     finally:
         log_file.close()
-    _echo_config(config, args.out, name="model_config.txt")
+    pl.save_model(model, args.out)
     return 0
 
 
@@ -173,6 +165,10 @@ def _cmd_infer(args) -> int:
     if args.image:
         names = args.image
         images = [sd.image_to_float(sd.read_ppm(path)) for path in names]
+        size = model.config.backbone.input_size
+        for path, image in zip(names, images):
+            if image.shape[1:] != size:
+                raise ValueError(f"{path}: image extent {image.shape[1:]} does not match config {size}")
     else:
         view = sd.TrainView(os.path.join(args.data, "test"))
         names, images = view.filenames, view.images
@@ -194,9 +190,7 @@ def _cmd_bench(args) -> int:
     model = pl.load_model(args.model)
     view = sd.TrainView(os.path.join(args.data, "test"))
     modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
-    result = {}
-    for mode in modes:
-        result[mode] = ev.bench(model, view.images, mode, repeats=args.repeats)
+    result = {mode: ev.bench(model, view.images, mode, repeats=args.repeats) for mode in modes}
     if len(modes) == 2:
         result["ratio"] = result["shared"] / result["separate"]
     print(json.dumps(result, sort_keys=True))

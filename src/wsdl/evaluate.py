@@ -100,14 +100,8 @@ def confusion_matrix(predictions, labels, num_classes: int) -> np.ndarray:
 
 def top_confused(matrix: np.ndarray, k: int = 5) -> list:
     """Largest off-diagonal entries as (true, predicted, count), ties lexicographic."""
-    pairs = []
-    c = matrix.shape[0]
-    for i in range(c):
-        for j in range(c):
-            if i != j and matrix[i, j] > 0:
-                pairs.append((int(matrix[i, j]), i, j))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return [(i, j, n) for n, i, j in pairs[:k]]
+    pairs = sorted((-int(n), i, j) for (i, j), n in np.ndenumerate(matrix) if i != j and n > 0)
+    return [(i, j, -n) for n, i, j in pairs[:k]]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ Training runs three stages in order:
 The stage-1 conv stages are the only trunk: the stage-2 checkpoint holds the
 proposal network alone, and one pass of the frozen trunk per training image
 gives stages 2 and 3 both its pseudo boxes and its shared map. Each stage owns
-dedicated random streams spawned from the one training seed, so a stage rerun
-from checkpoints reproduces the composed run bit for bit. Inference shares one
-backbone pass per image across the proposal network and all heads; batches of
-images share one proposal-network pass, with bit for bit the outputs of one
-image at a time.
+dedicated random streams spawned from the one training seed, so a run that
+keeps the first stages' checkpoints reproduces the composed run bit for bit.
+Inference shares one backbone pass per image across the proposal network and
+all heads; batches of images share one proposal-network pass, with bit for
+bit the outputs of one image at a time.
 """
 
 from __future__ import annotations
@@ -237,11 +237,15 @@ def train_heads(view, config: RunConfig, table: list, dln_ckpt: bb.Checkpoint,
             for level in bc.tap_levels}
 
 
-def train_stagewise(view, config: RunConfig, log_fn=None) -> TrainedModel:
-    """All three stages in order over a training view (images and labels only)."""
-    maen_ckpt = train_maen(view, config, log_fn)
+def train_stagewise(view, config: RunConfig, log_fn=None, trained=()) -> TrainedModel:
+    """The three stages in order over a training view (images and labels only).
+    ``trained`` keeps the first stages' checkpoints, in order: ``(maen,)``
+    retrains stages 2 and 3 and ``(maen, dln)`` stage 3, which reads both."""
+    if len(trained) > 2 or None in trained:
+        raise ValueError("trained holds a maen checkpoint, then optionally a dln checkpoint")
+    maen_ckpt = trained[0] if trained else train_maen(view, config, log_fn)
     table = pseudo_box_table(view, config, maen_ckpt)
-    dln_ckpt = train_rpn(view, config, table, log_fn)
+    dln_ckpt = trained[1] if len(trained) > 1 else train_rpn(view, config, table, log_fn)
     head_ckpts = train_heads(view, config, table, dln_ckpt, log_fn)
     return TrainedModel(maen_ckpt, dln_ckpt, head_ckpts, config)
 
@@ -265,22 +269,20 @@ def _refine_boxes(deltas: np.ndarray, proposals: np.ndarray, image_size) -> list
 
 def _trunk(image, model: TrainedModel) -> Tensor:
     """The last stage output [1,C,h,w] of one image."""
-    with ad.no_grad():
-        return bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]),
-                                model.config.backbone)[-1]
+    return bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]),
+                            model.config.backbone)[-1]
 
 
 def _proposals(rpn_params: dict, lates: list, anchors: np.ndarray, config: RunConfig) -> list:
     """The proposals [K,4] of each [1,C,h,w] map of ``lates``: one
     proposal-network pass per ``BATCH`` of maps, then ``rpn.propose`` per map."""
     proposals = []
-    with ad.no_grad():
-        for group in batches(lates):
-            probs, deltas = rpn.rpn_forward(
-                rpn_params, Tensor(np.concatenate([late.data for late in group])), config.anchor)
-            for p, d in zip(np.split(probs.data, len(group)), np.split(deltas.data, len(group))):
-                proposals.append(rpn.propose(p, d, anchors, config.anchor,
-                                             config.backbone.input_size))
+    for group in batches(lates):
+        probs, deltas = rpn.rpn_forward(
+            rpn_params, Tensor(np.concatenate([late.data for late in group])), config.anchor)
+        for p, d in zip(np.split(probs.data, len(group)), np.split(deltas.data, len(group))):
+            proposals.append(rpn.propose(p, d, anchors, config.anchor,
+                                         config.backbone.input_size))
     return proposals
 
 
@@ -296,32 +298,30 @@ def _infer(model: TrainedModel, groups) -> list:
     lates = [late for passes in groups for _, late in passes]
     per_map = zip(lates, _proposals(model.rpn_params, lates, model.anchors, model.config))
     predictions = []
-    with ad.no_grad():
-        for passes in groups:
-            scores, chosen_deltas, chosen_proposals, fulls = {}, [], [], []
-            for levels, _ in passes:
-                late, proposals = next(per_map)
-                if not len(proposals):
-                    proposals = hd.roi_table(proposals, image_size)
-                rois = hd.roi_table(proposals, image_size)
-                pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
-                for level in levels:
-                    scores_t, deltas_t = hd.head_forward(model.head_params[level], pooled, hc)
-                    s = scores_t.data
-                    r = int(np.argmax(1.0 - s[: len(proposals), hc.background]))
-                    scores[level] = hd.renormalize_foreground(s[r], hc.num_classes)
-                    chosen_deltas.append(deltas_t.data[r])
-                    chosen_proposals.append(proposals[r])
-                    fulls.append(hd.renormalize_foreground(s[-1], hc.num_classes))
-            boxes = dict(zip(scores, _refine_boxes(np.stack(chosen_deltas),
-                                                   np.stack(chosen_proposals), image_size)))
-            full_image_scores = np.mean(fulls, axis=0)
-            fused, cls = hd.fuse_scores([scores[level] for level in model.levels],
-                                        full_image_scores)
-            predictions.append(hd.Prediction(
-                per_level={level: hd.LevelPrediction(box=boxes[level], scores=scores[level])
-                           for level in model.levels},
-                full_image_scores=full_image_scores, fused=fused, predicted_class=cls))
+    for passes in groups:
+        scores, chosen_deltas, chosen_proposals, fulls = {}, [], [], []
+        for levels, _ in passes:
+            late, proposals = next(per_map)
+            if not len(proposals):
+                proposals = hd.roi_table(proposals, image_size)
+            rois = hd.roi_table(proposals, image_size)
+            pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
+            for level in levels:
+                scores_t, deltas_t = hd.head_forward(model.head_params[level], pooled, hc)
+                s = scores_t.data
+                r = int(np.argmax(1.0 - s[: len(proposals), hc.background]))
+                scores[level] = hd.renormalize_foreground(s[r], hc.num_classes)
+                chosen_deltas.append(deltas_t.data[r])
+                chosen_proposals.append(proposals[r])
+                fulls.append(hd.renormalize_foreground(s[-1], hc.num_classes))
+        boxes = dict(zip(scores, _refine_boxes(np.stack(chosen_deltas),
+                                               np.stack(chosen_proposals), image_size)))
+        full_image_scores = np.mean(fulls, axis=0)
+        fused, cls = hd.fuse_scores([scores[level] for level in model.levels], full_image_scores)
+        predictions.append(hd.Prediction(
+            per_level={level: hd.LevelPrediction(box=boxes[level], scores=scores[level])
+                       for level in model.levels},
+            full_image_scores=full_image_scores, fused=fused, predicted_class=cls))
     return predictions
 
 
@@ -358,8 +358,12 @@ def save_model(model: TrainedModel, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     bb.save_checkpoint(model.maen, os.path.join(out_dir, "maen.ckpt"))
     bb.save_checkpoint(model.dln, os.path.join(out_dir, "dln.ckpt"))
-    for level, ckpt in model.heads.items():
-        bb.save_checkpoint(ckpt, os.path.join(out_dir, f"head_{level}.ckpt"))
+    for level in bb.VALID_TAPS:  # a head of a level the model lacks is an older model's
+        path = os.path.join(out_dir, f"head_{level}.ckpt")
+        if level in model.heads:
+            bb.save_checkpoint(model.heads[level], path)
+        elif os.path.exists(path):
+            os.remove(path)
     with open(os.path.join(out_dir, "model_config.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(model.config.to_lines())
@@ -380,10 +384,10 @@ def _check_layout(ckpt: bb.Checkpoint, path, stage_tag: str, expected: dict):
                              f"{ckpt.params[name].shape}, expected {t.shape}")
 
 
-def load_checkpoints(model_dir, config: RunConfig, names=None) -> list:
-    """The checkpoints ``names`` of a model directory (all, in ``save_model``'s
-    order, by default), each checked against the layout ``config`` gives it;
-    a mismatch raises ``ValueError`` naming the file."""
+def load_checkpoints(model_dir, config: RunConfig, count=None) -> list:
+    """The first ``count`` checkpoints of a model directory in ``save_model``'s
+    order (all by default), each checked against the layout ``config`` gives
+    it; a mismatch raises ``ValueError`` naming the file."""
     bc = config.backbone
     rng = np.random.default_rng(0)  # only the shapes of the initial tables are used
     head = hd.init_head_params(config.head, bc.stage_channels[-1], rng)
@@ -391,7 +395,7 @@ def load_checkpoints(model_dir, config: RunConfig, names=None) -> list:
                "dln.ckpt": ("dln", rpn.init_rpn_params(bc.stage_channels[-1], config.anchor, rng)),
                **{f"head_{level}.ckpt": (f"head.{level}", head) for level in bc.tap_levels}}
     ckpts = []
-    for name in names or layouts:
+    for name in list(layouts)[:count]:
         path = os.path.join(model_dir, name)
         ckpts.append(bb.load_checkpoint(path))
         _check_layout(ckpts[-1], path, *layouts[name])

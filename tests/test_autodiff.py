@@ -313,11 +313,11 @@ def test_sgd_examples():
     assert np.allclose(w.data, [-0.29])
 
 
-def test_sgd_step_rejects_graph_built_under_no_grad():
+def test_sgd_step_rejects_graph_built_from_frozen_copies():
     w = t([1.0, -2.0])
     opt = ad.SGD({"w": w}, learning_rate=0.1)
-    with ad.no_grad():
-        loss = ad.sum_all(ad.add(w, w))
+    frozen = Tensor(w.data.copy())
+    loss = ad.sum_all(ad.add(frozen, frozen))
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="no parameter has a gradient"):
         opt.step()
@@ -429,11 +429,13 @@ def test_backward_deterministic_with_zeroing():
         assert np.array_equal(p.grad, g)
 
 
-def test_no_grad_suppresses_graph():
-    x = t([1.0, 2.0])
-    with ad.no_grad():
-        y = ad.relu(x)
-    assert y._grad_fn is None and not y.requires_grad
+def test_op_on_frozen_tensors_records_no_graph():
+    x, w = t([[1.0, -2.0]], grad=False), t([[0.5], [3.0]], grad=False)
+    y = ad.relu(ad.linear(x, w, t([0.0], grad=False)))
+    assert y._grad_fn is None and y._parents == () and not y.requires_grad
+    # one gradient-requiring input is enough to record
+    z = ad.relu(ad.linear(x, t(w.data), t([0.0], grad=False)))
+    assert z._grad_fn is not None and z.requires_grad
 
 
 def test_composite_network_gradcheck():

@@ -78,16 +78,15 @@ def test_trunk_outputs_do_not_depend_on_batch_size(n):
     cfg = tiny_config().backbone
     params = bb.init_maen_params(cfg, np.random.default_rng(5))
     images = _image_batch(n, seed=6)
-    with ad.no_grad():
-        batch = bb.maen_forward(params, Tensor(images), cfg)
-        batch_stages = bb.stage_forward(params, Tensor(images), cfg)
-        for i in range(n):
-            one = Tensor(images[i : i + 1])
-            for got, want in zip(batch_stages, bb.stage_forward(params, one, cfg), strict=True):
-                assert np.array_equal(got.data[i : i + 1].view(np.uint32), want.data.view(np.uint32))
-            want_cam = bb.maen_forward(params, one, cfg).taps["cam"].data
-            assert np.array_equal(batch.taps["cam"].data[i : i + 1].view(np.uint32),
-                                  want_cam.view(np.uint32))
+    batch = bb.maen_forward(params, Tensor(images), cfg)
+    batch_stages = bb.stage_forward(params, Tensor(images), cfg)
+    for i in range(n):
+        one = Tensor(images[i : i + 1])
+        for got, want in zip(batch_stages, bb.stage_forward(params, one, cfg), strict=True):
+            assert np.array_equal(got.data[i : i + 1].view(np.uint32), want.data.view(np.uint32))
+        want_cam = bb.maen_forward(params, one, cfg).taps["cam"].data
+        assert np.array_equal(batch.taps["cam"].data[i : i + 1].view(np.uint32),
+                              want_cam.view(np.uint32))
 
 
 def test_forward_rejects_bad_inputs(cfg, params):

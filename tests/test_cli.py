@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from wsdl import backbone as bb
+from wsdl import pipeline as pl
+from wsdl import synthdata as sd
 from wsdl.cli import run
+from wsdl.config import load_run_config
 
 from conftest import tiny_config
 
@@ -120,6 +123,65 @@ def test_stage_retraining_checks_loaded_checkpoints(cli_pipeline, tmp_path, cli_
         assert (out / "dln.ckpt").read_bytes() == (model / "dln.ckpt").read_bytes()
 
 
+def _stage_rpn_at_seed_14(model, out, data, cli_cfg, capsys) -> list:
+    """Copy ``model`` to ``out`` and retrain it from stage 2 at seed 14;
+    returns the log lines the run printed."""
+    shutil.copytree(model, out)
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--out", str(out), "--seed", "14",
+                "--config", str(cli_cfg), "--stage", "rpn"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_stage_rpn_retrains_every_later_stage(cli_pipeline, tmp_path, cli_cfg, capsys):
+    _, data, model = cli_pipeline
+    out = tmp_path / "retrained"
+    _stage_rpn_at_seed_14(model, out, data, cli_cfg, capsys)
+    for name in ("dln.ckpt", "head_late.ckpt", "head_cam.ckpt"):
+        assert (out / name).read_bytes() != (model / name).read_bytes(), name
+    # the same bytes as keeping the seed-13 classifier through the API
+    view = sd.TrainView(str(data / "train"))
+    cfg = load_run_config(str(cli_cfg))
+    cfg.set_key("seed", "14")
+    cfg.set_key("num_classes", str(view.num_classes))
+    cfg.sync_derived()
+    want = tmp_path / "api"
+    pl.save_model(pl.train_stagewise(view, cfg, None, (bb.load_checkpoint(model / "maen.ckpt"),)),
+                  want)
+    assert sorted(p.name for p in want.iterdir()) == sorted(
+        p.name for p in out.iterdir() if p.name != "train_log.txt")
+    for path in want.iterdir():
+        assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+
+def test_train_log_describes_the_model_in_its_directory(cli_pipeline, tmp_path, cli_cfg,
+                                                        capsys):
+    _, data, model = cli_pipeline
+    full_log = (model / "train_log.txt").read_text().splitlines()
+    twice = tmp_path / "twice"
+    shutil.copytree(model, twice)
+    # a second full run starts an empty log
+    assert run(["train", "--data", str(data), "--out", str(twice), "--seed", "13",
+                "--config", str(cli_cfg)]) == 0
+    assert (twice / "train_log.txt").read_text().splitlines() == full_log
+    # a run from stage 2 keeps stage 1's records and replaces the rest
+    printed = _stage_rpn_at_seed_14(twice, tmp_path / "rpn", data, cli_cfg, capsys)
+    stage1 = [line for line in full_log if line.startswith("stage=1 ")]
+    assert stage1 and {line.split()[0] for line in printed} == {"stage=2", "stage=3"}
+    assert (tmp_path / "rpn" / "train_log.txt").read_text().splitlines() == stage1 + printed
+
+
+def test_stage_maen_into_an_empty_directory_trains_a_whole_model(cli_pipeline, tmp_path,
+                                                                cli_cfg):
+    _, data, model = cli_pipeline
+    out = tmp_path / "fresh"
+    assert run(["train", "--data", str(data), "--out", str(out), "--seed", "13",
+                "--config", str(cli_cfg), "--stage", "maen"]) == 0
+    assert _dir_digest(out) == _dir_digest(model)
+    assert run(["eval", "--data", str(data), "--model", str(out),
+                "--out", str(tmp_path / "rep")]) == 0
+
+
 def test_eval_report(cli_pipeline, tmp_path):
     _, data, model = cli_pipeline
     out = tmp_path / "rep"
@@ -151,6 +213,17 @@ def test_infer_needs_exactly_one_source(cli_pipeline, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
     assert run(["infer", "--model", str(model)]) == 1
     assert "one of the arguments --image --data is required" in capsys.readouterr().err
+
+
+def test_infer_names_the_file_of_a_wrong_size_image(cli_pipeline, tmp_path, capsys):
+    _, data, model = cli_pipeline
+    small = tmp_path / "small.ppm"
+    sd.write_ppm(small, np.zeros((32, 32, 3), dtype=np.uint8))
+    good = str(data / "test" / "img_00000.ppm")
+    capsys.readouterr()
+    assert run(["infer", "--model", str(model), "--image", good, "--image", str(small)]) == 2
+    err = capsys.readouterr().err
+    assert f"{small}: image extent (32, 32) does not match config (64, 64)" in err
 
 
 def test_bench_rejects_zero_repeats(cli_pipeline, capsys):

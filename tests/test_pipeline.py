@@ -116,9 +116,8 @@ def test_stage3_proposals_equal_per_image_propose(tiny_setup, monkeypatch):
     view, cfg, model = tiny_setup.view, tiny_setup.config, tiny_setup.model
     table = pl.pseudo_box_table(view, cfg, model.maen)
     assert len(table) > pl.BATCH and len(table) % pl.BATCH  # a short last batch
-    with ad.no_grad():
-        want = [rpn.propose(*rpn.rpn_forward(model.rpn_params, late, cfg.anchor), model.anchors,
-                            cfg.anchor, cfg.backbone.input_size) for _, late in table]
+    want = [rpn.propose(*rpn.rpn_forward(model.rpn_params, late, cfg.anchor), model.anchors,
+                        cfg.anchor, cfg.backbone.input_size) for _, late in table]
     used = []
     real = hd.head_targets
 
@@ -233,9 +232,8 @@ def test_batched_evaluation_equals_per_image_path(tiny_setup, monkeypatch):
     assert len(images) > pl.BATCH and len(images) % pl.BATCH  # a short last batch
 
     # image 5 gets no proposals, so its RoI table is the whole-image box twice
-    with ad.no_grad():
-        no_proposals, _ = rpn.rpn_forward(model.rpn_params, pl._trunk(images[5], model),
-                                          model.config.anchor)
+    no_proposals, _ = rpn.rpn_forward(model.rpn_params, pl._trunk(images[5], model),
+                                      model.config.anchor)
     real_propose, real_pool = rpn.propose, hd.roi_pool_batch
     pooled_rows = []
 
@@ -415,6 +413,29 @@ def _saved_model(tiny_setup, tmp_path):
     out = tmp_path / "model"
     pl.save_model(tiny_setup.model, out)
     return out
+
+
+def test_save_model_removes_heads_of_levels_it_lacks(tiny_setup, tmp_path):
+    out = _saved_model(tiny_setup, tmp_path)
+    (out / "head_mid.ckpt").write_bytes((out / "head_late.ckpt").read_bytes())
+    pl.save_model(tiny_setup.model, out)
+    assert sorted(p.name for p in out.glob("head_*.ckpt")) == ["head_cam.ckpt", "head_late.ckpt"]
+
+
+def test_loaded_model_maps_record_no_graph(tiny_setup, tmp_path):
+    # a loaded model's tables are frozen, and so are images: no op records
+    model = pl.load_model(_saved_model(tiny_setup, tmp_path))
+    image = tiny_setup.view.images[0]
+    _, late = att.pseudo_boxes(image, model.maen_params, model.config.backbone)
+    for fmap in (pl._trunk(image, model), late):
+        assert fmap._grad_fn is None and fmap._parents == () and not fmap.requires_grad
+
+
+def test_train_stagewise_keeps_only_a_prefix_of_stages(tiny_setup):
+    model = tiny_setup.model
+    for trained in ((None, model.dln), (model.maen, model.dln, model.dln)):
+        with pytest.raises(ValueError, match="maen checkpoint, then optionally a dln"):
+            pl.train_stagewise(tiny_setup.view, tiny_setup.config, None, trained)
 
 
 def test_load_model_rejects_old_layout_dln(tiny_setup, tmp_path):

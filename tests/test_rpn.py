@@ -430,9 +430,8 @@ def test_rpn_forward_batch_rows_equal_single_image_passes(cfg):
     params = rpn.init_rpn_params(16, cfg, rng)
     maps = rng.normal(size=(5, 16, 8, 8)).astype(np.float32)
     maps[2] = 0.0
-    with ad.no_grad():
-        probs, deltas = rpn.rpn_forward(params, Tensor(maps), cfg)
-        singles = [rpn.rpn_forward(params, Tensor(maps[i : i + 1]), cfg) for i in range(5)]
+    probs, deltas = rpn.rpn_forward(params, Tensor(maps), cfg)
+    singles = [rpn.rpn_forward(params, Tensor(maps[i : i + 1]), cfg) for i in range(5)]
     a = 8 * 8 * cfg.anchors_per_cell
     assert probs.shape == (5 * a, 2) and deltas.shape == (5 * a, 4)
     for i, (p, d) in enumerate(singles):
