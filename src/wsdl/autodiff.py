@@ -9,8 +9,11 @@ graph once in reverse topological order and accumulates adjoints additively
 into the ``.grad`` of its leaves, the tensors that no recorded operation
 produced; intermediate tensors keep ``.grad`` None. A graph lives as long as
 a reference to its output does, so a training step that drops its loss frees
-its whole graph. Only the operation set needed by the localization pipeline
-is provided.
+its whole graph. A recorded op keeps its inputs and outputs, not scratch
+buffers: ``conv2d`` rebuilds its im2col columns from its input in backward,
+so writing a recorded input in place before ``backward`` changes the
+gradients (only ``SGD.step`` writes ``.data`` in place, after backward).
+Only the operation set needed by the localization pipeline is provided.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ def enable_buffer_reuse():
     """Keep large numpy buffers on the heap so training steps reuse them.
 
     glibc hands allocations above its mmap threshold straight back to the
-    kernel on free, which makes every conv re-fault tens of megabytes of
-    column buffers. Raising the threshold (and the trim threshold) lets the
-    allocator recycle those blocks. No-op on platforms without glibc.
+    kernel on free, which makes every conv re-fault the megabytes of its
+    per-call scratch: the column buffers and the batched input-gradient
+    columns, none of which a graph retains. Raising the threshold (and the
+    trim threshold) lets the allocator recycle those blocks. No-op on
+    platforms without glibc.
     """
     global _fast_malloc_done
     if _fast_malloc_done:
@@ -148,17 +153,36 @@ def backward(loss: Tensor):
 # forward operators
 
 
+def _sample_columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int):
+    """Yield each sample's [C*kh*kw, Ho*Wo] column matrix, built in one reused
+    buffer; a padded sample is copied into the interior of one zeroed buffer."""
+    c, h, w = x.shape[1:]
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype) if pad else None
+    cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+    for xs in x:
+        if pad:
+            xp[:, pad : pad + h, pad : pad + w] = xs
+            xs = xp
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        yield cols.reshape(c * kh * kw, ho * wo)
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlate ``x`` [N,C,H,W] with ``kernels`` [K,C,kh,kw] plus bias [K].
 
     Unrolled convolution (im2col, Chellapilla et al. 2006): one
-    ``(K, C*kh*kw) @ (C*kh*kw, Ho*Wo)`` GEMM per sample. A padded input is
-    copied into the interior of a zeroed buffer, and its columns are built
-    with one strided slice per kernel tap. A 1x1, stride-1, unpadded conv
-    reads ``x`` itself, reshaped to [N,C,H*W], as its column matrix (copied
-    only when ``x`` is not C-contiguous). The bias is added in place to the
-    GEMM output. Outputs and gradients are bit for bit those of the
-    ``np.pad`` im2col kernel (``conv2d_im2col`` in the test oracles).
+    ``(K, C*kh*kw) @ (C*kh*kw, Ho*Wo)`` GEMM per sample, on columns built one
+    sample at a time with one strided slice per kernel tap. A 1x1, stride-1,
+    unpadded conv reads ``x`` itself, reshaped to [N,C,H*W], as its column
+    matrix (copied only when ``x`` is not C-contiguous). The bias is added in
+    place to the GEMM output. Outputs and gradients are bit for bit those of
+    the ``np.pad`` im2col kernel (``conv2d_im2col`` in the test oracles).
+    A recorded conv keeps its input, not its columns: backward rebuilds each
+    sample's columns from ``x.data`` for the weight gradient (recompute, not
+    store: Chen et al. 2016), so writing ``x.data`` in place between forward
+    and ``backward`` changes the weight gradient.
     """
     if x.ndim != 4 or kernels.ndim != 4 or bias.ndim != 1:
         raise ShapeError(
@@ -178,37 +202,32 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
             f"conv2d kernel {kh}x{kw} exceeds padded input {h + 2 * pad}x{w + 2 * pad}"
         )
 
-    xp = x.data
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x.data
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
-
-    if kh == kw == stride == 1 and not pad:
-        cols2 = np.ascontiguousarray(xp).reshape(n, c, h * w)
-    else:
-        cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-        cols2 = cols.reshape(n, c * kh * kw, ho * wo)
     wflat = kernels.data.reshape(k, c * kh * kw)
-    out = np.matmul(wflat, cols2).reshape(n, k, ho, wo)
+    if kh == kw == stride == 1 and not pad:
+        out = np.matmul(wflat, np.ascontiguousarray(x.data).reshape(n, c, h * w))
+    else:
+        out = np.empty((n, k, ho * wo), dtype=np.result_type(wflat, x.data))
+        for s, cols in enumerate(_sample_columns(x.data, kh, kw, stride, pad, ho, wo)):
+            np.matmul(wflat, cols, out=out[s])
+    out = out.reshape(n, k, ho, wo)
     out = out.astype(np.result_type(out, bias.data), copy=False)
     out += bias.data.reshape(1, k, 1, 1)
-    padded_shape = xp.shape  # grad_fn keeps the columns, not the padded buffer
 
     def grad_fn(g):
         gflat = g.reshape(n, k, ho * wo)
         gk = gb = gx = None
         if kernels.requires_grad:
-            gk = np.matmul(gflat, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape)
+            per = np.empty((n, k, c * kh * kw), dtype=np.result_type(gflat, x.data))
+            for s, cols in enumerate(_sample_columns(x.data, kh, kw, stride, pad, ho, wo)):
+                np.matmul(gflat[s], cols.T, out=per[s])
+            gk = per.sum(axis=0).reshape(kernels.shape)
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             dcols = np.matmul(wflat.T, gflat).reshape(n, c, kh, kw, ho, wo)
-            gxp = np.zeros(padded_shape, dtype=x.data.dtype)
+            gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]

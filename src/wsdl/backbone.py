@@ -115,7 +115,7 @@ def _check_images(images: Tensor, config: BackboneConfig):
         raise ad.ShapeError(
             f"image extent {tuple(images.shape[2:])} does not match config {config.input_size}")
     lo, hi = images.data.min(), images.data.max()
-    if lo < 0.0 or hi > 1.0:
+    if not (0.0 <= lo and hi <= 1.0):  # a NaN pixel fails it too
         raise ValueError(f"pixel values must lie in [0,1], got [{lo}, {hi}]")
 
 

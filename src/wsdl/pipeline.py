@@ -83,10 +83,10 @@ def _sgd_step(opt: ad.SGD, loss: Tensor) -> float:
     return value
 
 
-# One function per training step: the step's graph (im2col columns,
-# activations, closures) is freed when it returns, not kept alive while the
-# next step's forward builds. Each returns (loss, its weight in the epoch's
-# mean loss, correct items, items counted for accuracy).
+# One function per training step: the step's graph (activations and
+# closures) is freed when it returns, not kept alive while the next step's
+# forward builds. Each returns (loss, its weight in the epoch's mean loss,
+# correct items, items counted for accuracy).
 
 
 def _maen_step(params: dict, opt: ad.SGD, images: np.ndarray, labels: np.ndarray,

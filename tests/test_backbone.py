@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,48 @@ def test_forward_rejects_bad_inputs(cfg, params):
         bb.maen_forward(params, Tensor(np.zeros((1, 3, 32, 32))), cfg)
     with pytest.raises(ValueError):
         bb.maen_forward(params, Tensor(np.full((1, 3, 64, 64), 1.5)), cfg)
+    nan_pixel = _image_batch(2)
+    nan_pixel[1, 2, 5, 7] = np.nan
+    with pytest.raises(ValueError, match=r"pixel values must lie in \[0,1\]"):
+        bb.maen_forward(params, Tensor(nan_pixel), cfg)
+
+
+def _held_buffer_bytes(roots, skip) -> int:
+    """Summed bytes of the distinct buffers behind the ``.data`` of every tensor
+    in the graphs of ``roots``, leaving out the buffers of the ``skip`` arrays."""
+    def buffer(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    skipped = {id(buffer(a)) for a in skip}
+    held, seen, stack = {}, set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            buf = buffer(node.data)
+            if id(buf) not in skipped:
+                held[id(buf)] = buf.nbytes
+    return sum(held.values())
+
+
+def test_recorded_forward_holds_only_its_tensors(cfg, params):
+    images = Tensor(_image_batch(4))
+    bb.maen_forward(params, images, cfg)  # warm-up: first-call allocations are not held
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feats = bb.maen_forward(params, images, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert feats.cam_logits.requires_grad
+    roots = [feats.cam_logits, feats.late, *feats.taps.values()]
+    tensors = _held_buffer_bytes(roots, [images.data] + [p.data for p in params.values()])
+    # 64 KiB covers the Tensor objects and closures; no op keeps a buffer of its own
+    assert held <= tensors + 64 * 1024
 
 
 # ---------------------------------------------------------------------------

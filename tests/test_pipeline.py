@@ -321,6 +321,13 @@ def test_infer_contract(tiny_setup, monkeypatch):
             assert 0.0 <= lp.box.y_min < lp.box.y_max <= h
 
 
+def test_infer_rejects_nan_pixel(tiny_setup):
+    img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0].copy()
+    img[1, 20, 30] = np.nan
+    with pytest.raises(ValueError, match=r"pixel values must lie in \[0,1\]"):
+        pl.infer(img, tiny_setup.model)
+
+
 def test_infer_deterministic(tiny_setup):
     img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
     a = pl.infer(img, tiny_setup.model)
