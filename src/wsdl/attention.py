@@ -5,7 +5,10 @@ Each configured feature level yields one 2-D importance map: the last
 class, every other level takes the plain channel mean. The map is min-max
 normalized, thresholded with OTSU, and the tight box around the largest
 4-connected foreground component becomes that level's pseudo box in image
-coordinates. Degenerate maps fall back to the whole-image box.
+coordinates. Degenerate maps fall back to the whole-image box. Everything
+here is a plain array: ``attention_map`` gives a float64 [h,w] map,
+``binarize`` bool masks and their thresholds, and ``component_boxes`` an
+[M,4] table in grid cells, which the level's ``tap_stride`` scales to pixels.
 """
 
 from __future__ import annotations
@@ -58,49 +61,22 @@ class Box:
         return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
 
 
-@dataclass
-class AttentionMap:
-    values: np.ndarray  # 2-D, finite
-    level: str
-    stride: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError(f"attention map must be 2-D, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("attention map holds non-finite values")
-
-
-@dataclass
-class BinaryMask:
-    mask: np.ndarray  # bool, the map's shape
-    threshold: float | None  # normalized units; None marks the degenerate constant map
-
-
-def attention_map(features: np.ndarray, level: str, stride: int,
-                  class_weights: np.ndarray | None = None,
-                  predicted_class: int | None = None) -> AttentionMap:
-    """Weighted channel sum of a [C,h,w] feature slab.
-
-    The cam level uses the classifier column of the predicted class as the
-    channel weights; every other level weighs uniformly by 1/C (channel mean).
-    """
+def attention_map(features: np.ndarray, class_weights: np.ndarray | None = None) -> np.ndarray:
+    """The float64 [h,w] importance map of a [C,h,w] feature slab: the channel
+    sum weighted by ``class_weights`` [C] (at the cam level, the classifier
+    column of the predicted class), or without weights the channel mean."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3:
         raise ValueError(f"features must be [C,h,w], got shape {features.shape}")
-    if level == "cam":
-        if class_weights is None or predicted_class is None:
-            raise ValueError("cam level needs class_weights and predicted_class")
-        w = np.asarray(class_weights, dtype=np.float64)[:, int(predicted_class)]
-        values = np.einsum("c,chw->hw", w, features)
-    else:
-        values = features.mean(axis=0)
-    return AttentionMap(values=values, level=level, stride=stride)
+    if class_weights is None:
+        return features.mean(axis=0)
+    return np.einsum("c,chw->hw", np.asarray(class_weights, dtype=np.float64), features)
 
 
-def binarize(maps, bins: int = OTSU_BINS) -> list:
-    """OTSU-threshold every map of ``maps`` in one pass: a ``BinaryMask`` per map.
+def binarize(maps, bins: int = OTSU_BINS) -> tuple:
+    """OTSU-threshold every map of ``maps`` in one pass: ``(masks, thresholds)``,
+    a bool mask of the map's shape and a float threshold in normalized units
+    per map, the threshold None for a constant map.
 
     Each map (any shape, at least one cell) is min-max normalized once; its
     foreground is the cells at or above the threshold. Candidate thresholds
@@ -109,8 +85,9 @@ def binarize(maps, bins: int = OTSU_BINS) -> list:
     sum cover all maps; a float64 score picks the near-best boundaries of each
     map, and any map whose near-best boundaries differ in their integer class
     counts is decided by exact integer comparison, so the result matches an
-    exhaustive search bit for bit. A constant map gets threshold None and an
-    all-foreground mask.
+    exhaustive search bit for bit. A constant map gets an all-foreground mask.
+    A map holding NaN or inf (from a corrupt checkpoint, say) raises
+    ``ValueError`` naming the first such map's index.
     """
     arrays = [np.asarray(m, dtype=np.float64) for m in maps]
     sizes = np.array([v.size for v in arrays], dtype=np.int64)
@@ -119,11 +96,14 @@ def binarize(maps, bins: int = OTSU_BINS) -> list:
     if (bins - 1) * int(sizes.max()) ** 2 >= 2 ** 63:
         raise ValueError(f"a map of {sizes.max()} cells is too large for exact OTSU")
     values = np.concatenate([v.ravel() for v in arrays])
+    owner = np.repeat(np.arange(len(arrays)), sizes)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"attention map {owner[finite.argmin()]} holds non-finite values")
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(values, starts)
     hi = np.maximum.reduceat(values, starts)
     varying = hi > lo
-    owner = np.repeat(np.arange(len(arrays)), sizes)
     norm = (values - lo[owner]) / np.where(varying, hi - lo, 1.0)[owner]
     idx = np.minimum((norm * bins).astype(np.int64), bins - 1)
     hist = np.bincount(owner * bins + idx, minlength=len(arrays) * bins).reshape(-1, bins)
@@ -149,14 +129,14 @@ def binarize(maps, bins: int = OTSU_BINS) -> list:
                 best[m], best_num, best_den = j + 1, num, d
     thresholds = np.where(varying, best / bins, -np.inf)
     foreground = np.split(norm >= thresholds[owner], starts[1:])
-    return [BinaryMask(mask=fg.reshape(v.shape), threshold=float(t) if ok else None)
-            for fg, v, t, ok in zip(foreground, arrays, thresholds, varying)]
+    return ([fg.reshape(v.shape) for fg, v in zip(foreground, arrays)],
+            [float(t) if ok else None for t, ok in zip(thresholds, varying)])
 
 
 def otsu_threshold(values: np.ndarray, bins: int = OTSU_BINS) -> float | None:
     """The OTSU threshold of one map in min-max normalized units (``binarize``'s
     one-map case); None for a constant map."""
-    return binarize([values], bins)[0].threshold
+    return binarize([values], bins)[1][0]
 
 
 def component_boxes(masks) -> np.ndarray:
@@ -217,22 +197,24 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
     image; a batched linear layer would change their bits.
     """
     levels = config.tap_levels
+    # column views of one float64 table, as einsum's sum order (and with it
+    # the cam map's bits) depends on its operands' strides
+    class_weights = maen_params["cam.fc.weight"].data.astype(np.float64)
     maps, lates = [], []
     for image in images:
-        fs = bb.maen_forward(maen_params, Tensor(np.asarray(image)[None]), config)
-        predicted = int(ad.softmax(fs.cam_logits).data[0].argmax())
+        stage_outputs, cam_map, logits = bb.maen_forward(
+            maen_params, Tensor(np.asarray(image)[None]), config)
+        predicted = int(ad.softmax(logits).data[0].argmax())
+        taps = {"mid": stage_outputs[-2], "late": stage_outputs[-1], "cam": cam_map}
         for level in levels:
-            fmap = fs.taps[level].data[0]
-            if level == "cam":
-                maps.append(attention_map(fmap, level, fs.strides[level],
-                                          fs.cam_class_weights, predicted))
-            else:
-                maps.append(attention_map(fmap, level, fs.strides[level]))
-        lates.append(fs.late)
+            weights = class_weights[:, predicted] if level == "cam" else None
+            maps.append(attention_map(taps[level].data[0], weights))
+        lates.append(stage_outputs[-1])
 
-    masks = [binary.mask for binary in binarize([amap.values for amap in maps])]
+    masks, _ = binarize(maps)
     n = len(levels)
-    table = np.stack([component_boxes(masks[j::n]) * maps[j].stride for j in range(n)], axis=1)
+    table = np.stack([component_boxes(masks[j::n]) * config.tap_stride(level)
+                      for j, level in enumerate(levels)], axis=1)
     h, w = config.input_size
     table = np.where(np.isnan(table), [0.0, 0.0, w, h], np.clip(table, 0.0, [w, h, w, h]))
     return list(zip(table, lates))

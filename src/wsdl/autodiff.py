@@ -35,19 +35,18 @@ def enable_buffer_reuse():
     per-call scratch: the column buffers and the batched input-gradient
     columns, none of which a graph retains. Raising the threshold (and the
     trim threshold) lets the allocator recycle those blocks. No-op on
-    platforms without glibc.
+    platforms without glibc; ``_fast_malloc_done`` turns True once both are raised.
     """
     global _fast_malloc_done
     if _fast_malloc_done:
         return
-    _fast_malloc_done = True
     try:
         import ctypes
 
         libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-3, 512 * 1024 * 1024)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 512 * 1024 * 1024)  # M_TRIM_THRESHOLD
-    except OSError:
+        _fast_malloc_done = (libc.mallopt(-3, 512 * 1024 * 1024) == 1     # M_MMAP_THRESHOLD
+                             and libc.mallopt(-1, 512 * 1024 * 1024) == 1)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError):  # no such library, or no mallopt in it
         pass
 
 

@@ -4,6 +4,10 @@ Three stages of (conv3x3 + relu) x 2 followed by 2x2 max pooling leave the
 shared feature map at stride 8 over 64x64 inputs. The classification network
 adds one more 3x3 conv ("cam" tap), global average pooling, and a linear
 classifier; its attention maps later supervise the localization network.
+The forward passes return plain tensors: ``stage_forward`` one map per
+stage, ``maen_forward`` those maps, the cam map and the logits. A tap level
+names one of them ("mid" the next-to-last stage output, "late" the last,
+"cam" the cam map), and ``BackboneConfig.tap_stride`` gives its stride.
 """
 
 from __future__ import annotations
@@ -59,15 +63,6 @@ class BackboneConfig:
     def grid_size(self) -> tuple:
         s = self.tap_stride("late")
         return (self.input_size[0] // s, self.input_size[1] // s)
-
-
-@dataclass
-class FeatureSet:
-    taps: dict
-    strides: dict
-    late: Tensor | None = None  # last stage output, whether or not "late" is a tap
-    cam_logits: Tensor | None = None
-    cam_class_weights: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +133,13 @@ def stage_forward(params: dict, images: Tensor, config: BackboneConfig) -> list:
     return outputs
 
 
-def _collect_taps(stage_outputs: list, cam_map, config: BackboneConfig):
-    taps, strides = {}, {}
-    for name in config.tap_levels:
-        if name == "mid":
-            taps[name] = stage_outputs[-2]
-        elif name == "late":
-            taps[name] = stage_outputs[-1]
-        elif name == "cam":
-            if cam_map is None:
-                raise ValueError("'cam' tap requested from a network without a cam head")
-            taps[name] = cam_map
-        strides[name] = config.tap_stride(name)
-    return taps, strides
-
-
-def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> FeatureSet:
-    """Classification-network forward: taps, the last stage output and cam logits."""
+def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> tuple:
+    """Classification-network forward: ``(stage_outputs, cam_map, cam_logits)``."""
     stage_outputs = stage_forward(params, images, config)
     cam_map = ad.relu(ad.conv2d(stage_outputs[-1], params["cam.conv.weight"],
                                 params["cam.conv.bias"], stride=1, pad=1))
     pooled = ad.global_avg_pool(cam_map)
-    logits = ad.linear(pooled, params["cam.fc.weight"], params["cam.fc.bias"])
-    taps, strides = _collect_taps(stage_outputs, cam_map, config)
-    return FeatureSet(taps=taps, strides=strides, late=stage_outputs[-1], cam_logits=logits,
-                      cam_class_weights=params["cam.fc.weight"].data)
+    return stage_outputs, cam_map, ad.linear(pooled, params["cam.fc.weight"], params["cam.fc.bias"])
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,9 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message: print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -42,6 +42,9 @@ class TrainConfig:
             raise ValueError("rates and batch sizes must be positive")
         if min(self.epochs_maen, self.epochs_rpn, self.epochs_heads) < 1:
             raise ValueError("every stage needs at least one epoch")
+        for key in ("decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"):
+            if getattr(self, key) < 0:  # one past the stage's last epoch is legal: no decay
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 def _parse_like(template, raw: str):
@@ -141,6 +144,8 @@ class RunConfig:
             key, _, raw = stripped.partition("=")
             try:
                 self.set_key(key.strip(), raw)
+            except KeyError as exc:
+                raise KeyError(f"{source}:{line_no}: {exc.args[0]}") from exc
             except ValueError as exc:
                 raise ValueError(f"{source}:{line_no}: bad value for {key.strip()!r}: {exc}") from exc
 

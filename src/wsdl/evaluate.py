@@ -9,7 +9,8 @@ the test split is scored in batches of ``pl.BATCH`` images, each sharing one
 OTSU pass and one proposal-network pass. Beside the hit rates, the report
 pairs the localization network with the attention that trained it: the mean
 IoU with the object box per level for both, and the number of images only one
-of the two localizes at the cam level.
+of the two localizes at the cam level. These cam-level figures and PCL fall
+back to the last configured level of a model without a cam level.
 The benchmark compares one shared backbone pass feeding all heads against one
 full network pass per head.
 """
@@ -117,13 +118,14 @@ class EvalReport:
     full_image_accuracy: float
     dln_localization: dict            # level -> accuracy at IoU > 0.5
     maen_localization: dict
+    # the cam-level figures fall back to the last level of a model without "cam"
     localization_accuracy: float      # dln, cam level
-    maen_localization_accuracy: float
+    maen_localization_accuracy: float  # attention, cam level
     dln_mean_iou: dict                # level -> mean IoU with the object box
     maen_mean_iou: dict
     dln_only_localized: int           # cam level: images the dln localizes and attention misses
     maen_only_localized: int          # cam level: images attention localizes and the dln misses
-    pcl_per_part: list
+    pcl_per_part: list                # dln box, cam level
     pcl_average: float
     confusion: list                   # row-major counts
     top_confused_pairs: list

@@ -92,7 +92,7 @@ def _sgd_step(opt: ad.SGD, loss: Tensor) -> float:
 def _maen_step(params: dict, opt: ad.SGD, images: np.ndarray, labels: np.ndarray,
                bc) -> tuple:
     """One stage-1 step on a batch, weighted by its images."""
-    probs = ad.softmax(bb.maen_forward(params, Tensor(images), bc).cam_logits)
+    probs = ad.softmax(bb.maen_forward(params, Tensor(images), bc)[2])
     loss = _sgd_step(opt, ad.cross_entropy(probs, labels))
     return loss, len(labels), int((probs.data.argmax(axis=1) == labels).sum()), len(labels)
 

@@ -33,8 +33,8 @@ def test_box_reads_as_corner_row_and_table():
 
 def test_attention_map_constant_channels_mean():
     features = np.full((4, 3, 3), 8.0)
-    amap = att.attention_map(features, "late", stride=8)
-    assert np.allclose(amap.values, 8.0)
+    amap = att.attention_map(features)
+    assert np.allclose(amap, 8.0)
 
 
 def test_attention_map_cam_one_hot_selects_channel():
@@ -42,28 +42,23 @@ def test_attention_map_cam_one_hot_selects_channel():
     features = rng.normal(size=(5, 4, 4))
     weights = np.zeros((5, 3))
     weights[2, 1] = 1.0
-    amap = att.attention_map(features, "cam", stride=8, class_weights=weights, predicted_class=1)
-    assert np.array_equal(amap.values, features[2])
+    amap = att.attention_map(features, class_weights=weights[:, 1])
+    assert np.array_equal(amap, features[2])
 
 
 def test_attention_map_cancellation():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(6, 6))
-    amap = att.attention_map(np.stack([a, -a]), "late", stride=8)
-    assert np.abs(amap.values).max() < 1e-12
+    amap = att.attention_map(np.stack([a, -a]))
+    assert np.abs(amap).max() < 1e-12
 
 
 def test_attention_map_mean_property():
     rng = np.random.default_rng(2)
     for _ in range(20):
         features = rng.normal(size=(rng.integers(1, 8), 5, 7))
-        amap = att.attention_map(features, "mid", stride=4)
-        assert np.abs(amap.values - features.mean(axis=0)).max() < 1e-9
-
-
-def test_attention_map_cam_requires_weights():
-    with pytest.raises(ValueError):
-        att.attention_map(np.zeros((2, 3, 3)), "cam", stride=8)
+        amap = att.attention_map(features)
+        assert np.abs(amap - features.mean(axis=0)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +69,15 @@ def test_otsu_two_cluster_map():
     values = np.array([[0.0, 0, 0], [1, 1, 1]])
     thresh = att.otsu_threshold(values)
     assert thresh is not None and 0.0 < thresh < 1.0
-    mask = att.binarize([values])[0].mask
+    mask = att.binarize([values])[0][0]
     assert np.array_equal(mask, values >= 0.5)
 
 
 def test_otsu_constant_map_degenerate():
     assert att.otsu_threshold(np.full((4, 4), 2.5)) is None
-    bm = att.binarize([np.full((4, 4), 2.5)])[0]
-    assert bm.threshold is None
-    assert bm.mask.all()
+    masks, thresholds = att.binarize([np.full((4, 4), 2.5)])
+    assert thresholds[0] is None
+    assert masks[0].all()
 
 
 def test_otsu_two_valued_maps():
@@ -149,17 +144,17 @@ def test_binarize_matches_exhaustive_oracle_in_one_call():
     # exactness cannot rest on int64: the search's comparison terms overflow it here
     assert _comparison_product(big, otsu_exhaustive(big)) > np.iinfo(np.int64).max
 
-    masks = att.binarize(maps)
-    assert len(masks) == len(maps)
-    for values, bm in zip(maps, masks):
+    masks, thresholds = att.binarize(maps)
+    assert len(masks) == len(maps) and len(thresholds) == len(maps)
+    for values, mask, threshold in zip(maps, masks, thresholds):
         expected_k = otsu_exhaustive(values)
-        assert bm.mask.shape == values.shape
+        assert mask.shape == values.shape
         if expected_k is None:
-            assert bm.threshold is None and bm.mask.all()
+            assert threshold is None and mask.all()
         else:
-            assert bm.threshold == expected_k / att.OTSU_BINS
+            assert threshold == expected_k / att.OTSU_BINS
             norm = (values - values.min()) / (values.max() - values.min())
-            assert np.array_equal(bm.mask, norm >= bm.threshold)
+            assert np.array_equal(mask, norm >= threshold)
 
 
 def test_binarize_rejects_empty_input():
@@ -167,6 +162,15 @@ def test_binarize_rejects_empty_input():
         att.binarize([])
     with pytest.raises(ValueError, match="at least one cell"):
         att.binarize([np.ones((2, 2)), np.ones((0, 3))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binarize_rejects_non_finite_maps_by_index(bad):
+    maps = [np.ones((3, 3)), np.arange(4.0).reshape(2, 2), np.zeros((2, 5)), np.ones((1, 1))]
+    maps[2][1, 3] = bad
+    maps[3][0, 0] = bad
+    with pytest.raises(ValueError, match="attention map 2 holds non-finite values"):
+        att.binarize(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +299,16 @@ def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
     image = np.random.default_rng(9).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
     boxes, _ = att.pseudo_boxes(image, params, small_cfg)
     assert boxes.tolist() == [[0.0, 0.0, 64.0, 64.0]] * len(small_cfg.tap_levels)
+
+
+def test_pseudo_boxes_reject_a_checkpoint_with_a_nan_cam_weight(small_cfg):
+    ckpt = bb.params_to_checkpoint(bb.init_maen_params(small_cfg, np.random.default_rng(12)),
+                                   "maen")
+    ckpt.params["cam.fc.weight"][5, :] = np.nan
+    params = bb.checkpoint_to_params(ckpt)
+    images = np.random.default_rng(13).uniform(0, 1, size=(2, 3, 64, 64)).astype(np.float32)
+    with pytest.raises(ValueError, match="non-finite"):
+        att.pseudo_boxes_batch(images, params, small_cfg)
 
 
 def test_pseudo_boxes_batch_equals_per_image_across_grid_sizes():

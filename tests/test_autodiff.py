@@ -665,3 +665,22 @@ def test_gradcheck_transpose_reshape():
         return ad.sum_all(ad.mul_const(y, weights))
 
     _check(build, params, 27)
+
+
+
+def test_buffer_reuse_flag_says_whether_the_allocator_switched(monkeypatch):
+    import ctypes
+    from types import SimpleNamespace
+
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    def libc(results):  # mallopt param -> its return value (1 is success)
+        return lambda name: SimpleNamespace(mallopt=lambda param, value: results[param])
+
+    for cdll, switched in [(no_libc, False), (libc({-3: 0, -1: 1}), False),
+                           (libc({-3: 1, -1: 0}), False), (libc({-3: 1, -1: 1}), True)]:
+        monkeypatch.setattr(ad, "_fast_malloc_done", False)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        ad.enable_buffer_reuse()
+        assert ad._fast_malloc_done is switched

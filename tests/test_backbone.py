@@ -37,39 +37,41 @@ def test_config_validation():
 
 
 def test_tap_strides_cover_input(cfg, params):
-    fs = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
-    for name, fmap in fs.taps.items():
-        stride = fs.strides[name]
+    stage_outputs, cam_map, _ = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
+    taps = {"late": stage_outputs[-1], "cam": cam_map}
+    for name, fmap in taps.items():
+        stride = cfg.tap_stride(name)
         assert fmap.shape[2] * stride == cfg.input_size[0]
         assert fmap.shape[3] * stride == cfg.input_size[1]
-    assert fs.taps["late"].shape[2:] == (8, 8)
-    assert fs.strides["late"] == 8
-    assert fs.taps["cam"].shape[2:] == (8, 8)
-    assert fs.strides["cam"] == 8
+    assert taps["late"].shape[2:] == (8, 8)
+    assert cfg.tap_stride("late") == 8
+    assert taps["cam"].shape[2:] == (8, 8)
+    assert cfg.tap_stride("cam") == 8
 
 
 def test_mid_tap_when_configured():
     cfg = bb.BackboneConfig(num_classes=4, tap_levels=("mid", "late", "cam"))
     params = bb.init_maen_params(cfg, np.random.default_rng(1))
-    fs = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
-    assert fs.taps["mid"].shape[2:] == (16, 16)
-    assert fs.strides["mid"] == 4
+    stage_outputs, _, _ = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
+    assert stage_outputs[-2].shape[2:] == (16, 16)
+    assert cfg.tap_stride("mid") == 4
 
 
 def test_zero_image_zero_bias_gives_zero_taps(cfg, params):
-    fs = bb.maen_forward(params, Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)), cfg)
-    for fmap in fs.taps.values():
+    stage_outputs, cam_map, _ = bb.maen_forward(
+        params, Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)), cfg)
+    for fmap in (stage_outputs[-1], cam_map):
         assert np.all(fmap.data == 0.0)
 
 
 def test_identical_images_identical_rows(cfg, params):
     one = _image_batch(1, seed=5)
     batch = np.repeat(one, 3, axis=0)
-    fs = bb.maen_forward(params, Tensor(batch), cfg)
-    for fmap in fs.taps.values():
+    stage_outputs, cam_map, logits = bb.maen_forward(params, Tensor(batch), cfg)
+    for fmap in (stage_outputs[-1], cam_map):
         assert np.array_equal(fmap.data[0], fmap.data[1])
         assert np.array_equal(fmap.data[0], fmap.data[2])
-    assert np.array_equal(fs.cam_logits.data[0], fs.cam_logits.data[1])
+    assert np.array_equal(logits.data[0], logits.data[1])
 
 
 @pytest.mark.parametrize("n", [3, 20])
@@ -79,14 +81,14 @@ def test_trunk_outputs_do_not_depend_on_batch_size(n):
     cfg = tiny_config().backbone
     params = bb.init_maen_params(cfg, np.random.default_rng(5))
     images = _image_batch(n, seed=6)
-    batch = bb.maen_forward(params, Tensor(images), cfg)
+    _, batch_cam, _ = bb.maen_forward(params, Tensor(images), cfg)
     batch_stages = bb.stage_forward(params, Tensor(images), cfg)
     for i in range(n):
         one = Tensor(images[i : i + 1])
         for got, want in zip(batch_stages, bb.stage_forward(params, one, cfg), strict=True):
             assert np.array_equal(got.data[i : i + 1].view(np.uint32), want.data.view(np.uint32))
-        want_cam = bb.maen_forward(params, one, cfg).taps["cam"].data
-        assert np.array_equal(batch.taps["cam"].data[i : i + 1].view(np.uint32),
+        want_cam = bb.maen_forward(params, one, cfg)[1].data
+        assert np.array_equal(batch_cam.data[i : i + 1].view(np.uint32),
                               want_cam.view(np.uint32))
 
 
@@ -128,12 +130,12 @@ def test_recorded_forward_holds_only_its_tensors(cfg, params):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        feats = bb.maen_forward(params, images, cfg)
+        stage_outputs, cam_map, logits = bb.maen_forward(params, images, cfg)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert feats.cam_logits.requires_grad
-    roots = [feats.cam_logits, feats.late, *feats.taps.values()]
+    assert logits.requires_grad
+    roots = [logits, *stage_outputs, cam_map]
     tensors = _held_buffer_bytes(roots, [images.data] + [p.data for p in params.values()])
     # 64 KiB covers the Tensor objects and closures; no op keeps a buffer of its own
     assert held <= tensors + 64 * 1024

@@ -272,7 +272,9 @@ def test_model_commands_reject_configuration_flags(cli_pipeline, tmp_path, cli_c
     assert not (tmp_path / "r").exists()
 
 
-def test_unknown_config_key_fails(tmp_path):
+def test_unknown_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("mystery_knob = 5\n")
+    bad.write_text("seed = 3\nmystery_knob = 5\n")
     assert run(["gen-data", "--out", str(tmp_path / "x"), "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:2: unknown configuration key: 'mystery_knob'\n"

@@ -88,6 +88,16 @@ def test_train_config_validation():
         TrainConfig(epochs_rpn=0)
 
 
+@pytest.mark.parametrize("key", ["decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"])
+def test_negative_decay_epoch_rejected(key):
+    cfg = RunConfig.default()
+    cfg.set_key(key, "-3")
+    with pytest.raises(ValueError, match=f"{key} must be >= 0, got -3"):
+        cfg.sync_derived()
+    # a decay epoch at or past the stage's epoch count never applies, and is legal
+    TrainConfig(epochs_maen=3, epochs_rpn=3, epochs_heads=3, **{key: 3})
+
+
 @pytest.mark.parametrize("key, raw", [
     ("fg_fraction", "3.0"), ("fg_fraction", "-0.5"), ("fg_iou", "0.0"), ("fg_iou", "2.0"),
 ])

@@ -74,7 +74,7 @@ def test_each_training_step_frees_its_graph(tiny_setup, monkeypatch, stage):
     table = pl.pseudo_box_table(view, cfg, model.maen)
     if stage == 1:
         alive = _graphs_alive_at_next_forward(monkeypatch, bb, "maen_forward",
-                                              lambda fs: fs.late.data)
+                                              lambda out: out[0][-1].data)
         pl.train_maen(view, cfg)
     elif stage == 2:
         alive = _graphs_alive_at_next_forward(monkeypatch, rpn, "rpn_forward",
