@@ -73,14 +73,14 @@ def attention_map(features: np.ndarray, class_weights: np.ndarray | None = None)
     return np.einsum("c,chw->hw", np.asarray(class_weights, dtype=np.float64), features)
 
 
-def binarize(maps, bins: int = OTSU_BINS) -> tuple:
+def binarize(maps) -> tuple:
     """OTSU-threshold every map of ``maps`` in one pass: ``(masks, thresholds)``,
     a bool mask of the map's shape and a float threshold in normalized units
     per map, the threshold None for a constant map.
 
     Each map (any shape, at least one cell) is min-max normalized once; its
     foreground is the cells at or above the threshold. Candidate thresholds
-    are the bucket boundaries k/bins, and the chosen one maximizes the
+    are the bucket boundaries k/``OTSU_BINS``, and the chosen one maximizes the
     between-class variance, ties to the lowest. One histogram and one cumulative
     sum cover all maps; a float64 score picks the near-best boundaries of each
     map, and any map whose near-best boundaries differ in their integer class
@@ -89,6 +89,7 @@ def binarize(maps, bins: int = OTSU_BINS) -> tuple:
     A map holding NaN or inf (from a corrupt checkpoint, say) raises
     ``ValueError`` naming the first such map's index.
     """
+    bins = OTSU_BINS
     arrays = [np.asarray(m, dtype=np.float64) for m in maps]
     sizes = np.array([v.size for v in arrays], dtype=np.int64)
     if len(arrays) == 0 or sizes.min() < 1:
@@ -133,10 +134,10 @@ def binarize(maps, bins: int = OTSU_BINS) -> tuple:
             [float(t) if ok else None for t, ok in zip(thresholds, varying)])
 
 
-def otsu_threshold(values: np.ndarray, bins: int = OTSU_BINS) -> float | None:
+def otsu_threshold(values: np.ndarray) -> float | None:
     """The OTSU threshold of one map in min-max normalized units (``binarize``'s
     one-map case); None for a constant map."""
-    return binarize([values], bins)[1][0]
+    return binarize([values])[1][0]
 
 
 def component_boxes(masks) -> np.ndarray:
@@ -188,13 +189,14 @@ def largest_component_bbox(mask: np.ndarray) -> Box | None:
 
 
 def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> list:
-    """``pseudo_boxes`` for each of ``images``: one classification-network pass
-    per image, one ``binarize`` call over every attention map of them all, and
-    one ``component_boxes`` call per level over that level's masks.
+    """Per image: ``(boxes, late)``, its pseudo boxes as an [L,4] float64 corner
+    table in ``tap_levels`` order (a constant map or empty foreground gives the
+    whole-image box) and the last stage output [1,C,h,w] of the same pass.
 
-    The network runs at batch 1 on each image, so its cam logits (and with
-    them the predicted class that weighs the cam map) are those of a lone
-    image; a batched linear layer would change their bits.
+    One classification-network pass per image, at batch 1 so that its cam
+    logits (and the predicted class that weighs the cam map) keep a lone
+    image's bits; one ``binarize`` call over all maps of all images; one
+    ``component_boxes`` call per level over that level's masks.
     """
     levels = config.tap_levels
     # column views of one float64 table, as einsum's sum order (and with it
@@ -219,15 +221,3 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
     table = np.where(np.isnan(table), [0.0, 0.0, w, h], np.clip(table, 0.0, [w, h, w, h]))
     return list(zip(table, lates))
 
-
-def pseudo_boxes(image: np.ndarray, maen_params: dict, config: bb.BackboneConfig) -> tuple:
-    """The pseudo boxes of one image as an [L,4] float64 corner table, one row
-    per configured tap level in order, and the last stage output [1,C,h,w] of
-    the same pass: ``(boxes, late)``.
-
-    Runs the trained classification network once, takes its predicted class
-    for the cam-level weighting, and maps each level's largest attention
-    component back to image coordinates. Degenerate maps (constant attention
-    or empty foreground) resolve to the whole-image box.
-    """
-    return pseudo_boxes_batch([image], maen_params, config)[0]

@@ -59,8 +59,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr

@@ -44,9 +44,11 @@ class BackboneConfig:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.stage_channels) < 2:
             raise ValueError("need at least two stages")
-        for name in self.tap_levels:
+        for i, name in enumerate(self.tap_levels):
             if name not in VALID_TAPS:
                 raise ValueError(f"unknown tap level {name!r}, valid: {VALID_TAPS}")
+            if name in self.tap_levels[:i]:
+                raise ValueError(f"tap level {name!r} is repeated in {self.tap_levels}")
         down = 2 ** len(self.stage_channels)
         if self.input_size[0] % down or self.input_size[1] % down:
             raise ValueError(f"input {self.input_size} not divisible by total stride {down}")
@@ -69,8 +71,7 @@ class BackboneConfig:
 # parameters
 
 
-def init_stage_params(config: BackboneConfig, rng: np.random.Generator,
-                      dtype=np.float32) -> dict:
+def init_stage_params(config: BackboneConfig, rng: np.random.Generator) -> dict:
     """Shared convolutional stages: zero biases, fan-in scaled uniform weights."""
     params = {}
     in_ch = 3
@@ -78,24 +79,23 @@ def init_stage_params(config: BackboneConfig, rng: np.random.Generator,
         for j in range(config.convs_per_stage):
             fan_in = in_ch * 9
             params[f"stages.{s}.conv{j}.weight"] = Tensor(
-                ad.fan_in_uniform(rng, (out_ch, in_ch, 3, 3), fan_in, dtype), requires_grad=True)
+                ad.fan_in_uniform(rng, (out_ch, in_ch, 3, 3), fan_in), requires_grad=True)
             params[f"stages.{s}.conv{j}.bias"] = Tensor(
-                np.zeros(out_ch, dtype=dtype), requires_grad=True)
+                np.zeros(out_ch, np.float32), requires_grad=True)
             in_ch = out_ch
     return params
 
 
-def init_maen_params(config: BackboneConfig, rng: np.random.Generator,
-                     dtype=np.float32) -> dict:
-    params = init_stage_params(config, rng, dtype)
+def init_maen_params(config: BackboneConfig, rng: np.random.Generator) -> dict:
+    params = init_stage_params(config, rng)
     last = config.stage_channels[-1]
     cam = config.cam_channels
     params["cam.conv.weight"] = Tensor(
-        ad.fan_in_uniform(rng, (cam, last, 3, 3), last * 9, dtype), requires_grad=True)
-    params["cam.conv.bias"] = Tensor(np.zeros(cam, dtype=dtype), requires_grad=True)
+        ad.fan_in_uniform(rng, (cam, last, 3, 3), last * 9), requires_grad=True)
+    params["cam.conv.bias"] = Tensor(np.zeros(cam, np.float32), requires_grad=True)
     params["cam.fc.weight"] = Tensor(
-        ad.fan_in_uniform(rng, (cam, config.num_classes), cam, dtype), requires_grad=True)
-    params["cam.fc.bias"] = Tensor(np.zeros(config.num_classes, dtype=dtype), requires_grad=True)
+        ad.fan_in_uniform(rng, (cam, config.num_classes), cam), requires_grad=True)
+    params["cam.fc.bias"] = Tensor(np.zeros(config.num_classes, np.float32), requires_grad=True)
     return params
 
 
@@ -148,14 +148,13 @@ def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> tuple:
 
 @dataclass
 class Checkpoint:
-    version: int = CHECKPOINT_VERSION
     params: dict = field(default_factory=dict)  # name -> float32 ndarray
     stage_tag: str = ""
 
 
 def params_to_checkpoint(params: dict, stage_tag: str) -> Checkpoint:
     table = {name: np.ascontiguousarray(t.data, dtype=np.float32) for name, t in params.items()}
-    return Checkpoint(CHECKPOINT_VERSION, table, stage_tag)
+    return Checkpoint(table, stage_tag)
 
 
 def checkpoint_to_params(ckpt: Checkpoint) -> dict:
@@ -164,9 +163,9 @@ def checkpoint_to_params(ckpt: Checkpoint) -> dict:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    """Binary layout: magic, version u32, entry count u32, then per entry
-    name (u16 length + UTF-8), rank u8, dims u32 each, values as LE float32."""
-    blobs = [CHECKPOINT_MAGIC, struct.pack("<I", ckpt.version),
+    """Binary layout: magic, ``CHECKPOINT_VERSION`` u32, entry count u32, then per
+    entry name (u16 length + UTF-8), rank u8, dims u32 each, values as LE float32."""
+    blobs = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack("<I", len(ckpt.params) + 1)]
 
     def entry(name, arr):
@@ -203,7 +202,7 @@ def load_checkpoint(path) -> Checkpoint:
     version, count = take("<I")[0], take("<I")[0]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    ckpt = Checkpoint(version=version, params={}, stage_tag="")
+    ckpt = Checkpoint()
     for _ in range(count):
         (name_len,) = take("<H")
         if off + name_len > len(data):

@@ -9,15 +9,15 @@ the heads. Unknown keys are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .backbone import BackboneConfig
 from .heads import HeadConfig
 from .rpn import AnchorConfig
 from .synthdata import GenConfig
 
-_EXCLUDED_FIELDS = {"glyphs"}  # structured, not expressible as one line
-_DERIVED = {"input_size": "image_size", "stride": "stage_channels"}  # key -> key it follows
+# glyphs is structured, not one line; sync_derived computes input_size and stride
+_EXCLUDED_FIELDS = {"glyphs", "input_size", "stride"}
 
 
 @dataclass
@@ -77,7 +77,6 @@ class RunConfig:
     backbone: BackboneConfig
     anchor: AnchorConfig
     head: HeadConfig
-    pinned: dict = field(default_factory=dict)  # derived keys set explicitly
 
     @classmethod
     def default(cls) -> "RunConfig":
@@ -99,7 +98,6 @@ class RunConfig:
     def set_key(self, key: str, raw: str):
         """Parse and assign one key across every sub-config carrying it."""
         hit = False
-        parsed = None
         for sub in self.subconfigs():
             names = {f.name for f in fields(sub)}
             if key in names and key not in _EXCLUDED_FIELDS:
@@ -109,12 +107,10 @@ class RunConfig:
                 hit = True
         if not hit:
             raise KeyError(f"unknown configuration key: {key!r}")
-        if key in _DERIVED:
-            self.pinned[key] = parsed
 
     def sync_derived(self):
-        """Re-derive cross-config facts and re-run dataclass validation. A derived
-        key set explicitly to another value raises ``ValueError``."""
+        """Derive ``input_size`` from ``image_size`` and ``stride`` from
+        ``stage_channels``, share ``num_classes``, and re-run validation."""
         self.backbone.input_size = self.gen.image_size
         self.backbone.num_classes = self.gen.num_classes
         self.head.num_classes = self.gen.num_classes
@@ -124,11 +120,6 @@ class RunConfig:
         self.train = replace(self.train)
         self.anchor = replace(self.anchor)
         self.head = replace(self.head)
-        for key, value in self.pinned.items():
-            derived = self.schema()[key]
-            if value != derived:
-                raise ValueError(f"{key} = {_format_value(value)} disagrees with "
-                                 f"{_DERIVED[key]}, which sets it to {_format_value(derived)}")
 
     def to_lines(self) -> str:
         schema = self.schema()

@@ -62,13 +62,13 @@ def _box_ious(pred_boxes, gt_boxes) -> np.ndarray:
     return rpn.iou(pred, gt)
 
 
-def _hit_rate(ious: np.ndarray, thresh: float = LOCALIZATION_IOU) -> float:
-    """Fraction of ``ious`` strictly above ``thresh``."""
-    return int(np.count_nonzero(ious > thresh)) / len(ious)
+def _hit_rate(ious: np.ndarray) -> float:
+    """Fraction of ``ious`` strictly above ``LOCALIZATION_IOU``."""
+    return int(np.count_nonzero(ious > LOCALIZATION_IOU)) / len(ious)
 
 
-def localization_accuracy(pred_boxes, gt_boxes, thresh: float = LOCALIZATION_IOU) -> float:
-    return _hit_rate(_box_ious(pred_boxes, gt_boxes), thresh)
+def localization_accuracy(pred_boxes, gt_boxes) -> float:
+    return _hit_rate(_box_ious(pred_boxes, gt_boxes))
 
 
 def pcl(pred_boxes, part_points):

@@ -141,9 +141,10 @@ def _epochs(stage: str, config: RunConfig, opts, steps, n: int, log_fn):
 
 
 def _check_view(view, config: RunConfig):
+    found = len(np.unique(view.labels))
+    if found < 2:
+        raise ValueError(f"dataset must have at least 2 classes, found {found}")
     n_classes = int(view.labels.max()) + 1
-    if n_classes < 2:
-        raise ValueError(f"dataset must have at least 2 classes, found {n_classes}")
     if n_classes > config.backbone.num_classes:
         raise ValueError(
             f"dataset has {n_classes} classes but the backbone is configured "
@@ -346,7 +347,7 @@ def infer_batch(images, model: TrainedModel) -> list:
 
 def maen_pseudo_box(image, model: TrainedModel, level: str = "cam") -> att.Box:
     """The classification network's direct pseudo box for one image."""
-    boxes, _ = att.pseudo_boxes(np.asarray(image), model.maen_params, model.config.backbone)
+    boxes, _ = att.pseudo_boxes_batch([image], model.maen_params, model.config.backbone)[0]
     return att.Box(*boxes[model.levels.index(level)].tolist())
 
 

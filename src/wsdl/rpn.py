@@ -56,11 +56,9 @@ class AnchorConfig:
 
 @dataclass
 class AnchorBatch:
-    anchors: np.ndarray          # [A,4]
-    labels: np.ndarray           # [A] in {POSITIVE, NEGATIVE, IGNORE}
+    labels: np.ndarray           # [A] in {POSITIVE, NEGATIVE, IGNORE}, one per anchor
     targets: np.ndarray          # [A,4], valid where labels == POSITIVE
     sampled: np.ndarray          # indices marked for the loss
-    n_positions: int             # anchor positions (grid cells)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +186,7 @@ def label_anchors(anchors: np.ndarray, pseudo_boxes, config: AnchorConfig,
     pos = np.flatnonzero(labels == POSITIVE)
     targets[pos] = encode_boxes(gt[best_gt[pos]], anchors[pos])
 
-    sampled = sample_for_loss(labels, config, rng)
-    return AnchorBatch(anchors=anchors, labels=labels, targets=targets,
-                       sampled=sampled, n_positions=len(anchors) // config.anchors_per_cell)
+    return AnchorBatch(labels=labels, targets=targets, sampled=sample_for_loss(labels, config, rng))
 
 
 def sample_for_loss(labels: np.ndarray, config: AnchorConfig,
@@ -226,9 +222,10 @@ def rpn_loss(obj_probs: Tensor, deltas: Tensor, batch: AnchorBatch,
     loss = mean_cls(sampled) + balance / n_positions * sum smooth_l1(positives)
 
     ``obj_probs`` rows are (background, region) probabilities aligned with
-    ``batch.anchors``; regression covers the sampled positive anchors only.
+    ``batch.labels``, whose anchors fill n_positions cells of ``anchors_per_cell``;
+    regression covers the sampled positive anchors only.
     """
-    a = len(batch.anchors)
+    a = len(batch.labels)
     if obj_probs.shape != (a, 2) or deltas.shape != (a, 4):
         raise ad.ShapeError(
             f"scores/deltas misaligned with anchors: {obj_probs.shape}, {deltas.shape} vs {a} anchors")
@@ -237,7 +234,7 @@ def rpn_loss(obj_probs: Tensor, deltas: Tensor, batch: AnchorBatch,
     if len(pos) == 0:
         return cls
     reg = ad.smooth_l1(ad.take_rows(deltas, pos), batch.targets[pos].astype(deltas.data.dtype))
-    return ad.add(cls, ad.scale(reg, config.loss_balance / batch.n_positions))
+    return ad.add(cls, ad.scale(reg, config.loss_balance / (a // config.anchors_per_cell)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +281,6 @@ def propose(obj_probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
     K <= ``post_nms_top`` (K = 0 when nothing survives); boxes that collapse
     to zero extent after clipping are dropped.
     """
-    obj_probs = obj_probs.data if isinstance(obj_probs, Tensor) else np.asarray(obj_probs)
-    deltas = deltas.data if isinstance(deltas, Tensor) else np.asarray(deltas)
     scores = obj_probs[:, 1].astype(np.float64)
     decoded = decode_boxes(deltas, anchors, image_size)
     valid = np.flatnonzero((decoded[:, 2] > decoded[:, 0]) & (decoded[:, 3] > decoded[:, 1]))
@@ -301,21 +296,18 @@ def propose(obj_probs: np.ndarray, deltas: np.ndarray, anchors: np.ndarray,
 # head
 
 
-def init_rpn_params(in_channels: int, config: AnchorConfig,
-                    rng: np.random.Generator, dtype=np.float32) -> dict:
+def init_rpn_params(in_channels: int, config: AnchorConfig, rng: np.random.Generator) -> dict:
     """3x3 conv trunk plus 1x1 objectness (2k channels) and delta (4k) branches."""
     k = config.anchors_per_cell
     mid = config.rpn_channels
     return {
         "rpn.conv.weight": Tensor(ad.fan_in_uniform(rng, (mid, in_channels, 3, 3),
-                                                    in_channels * 9, dtype), requires_grad=True),
-        "rpn.conv.bias": Tensor(np.zeros(mid, dtype=dtype), requires_grad=True),
-        "rpn.obj.weight": Tensor(ad.fan_in_uniform(rng, (2 * k, mid, 1, 1), mid, dtype),
-                                 requires_grad=True),
-        "rpn.obj.bias": Tensor(np.zeros(2 * k, dtype=dtype), requires_grad=True),
-        "rpn.reg.weight": Tensor(ad.fan_in_uniform(rng, (4 * k, mid, 1, 1), mid, dtype),
-                                 requires_grad=True),
-        "rpn.reg.bias": Tensor(np.zeros(4 * k, dtype=dtype), requires_grad=True),
+                                                    in_channels * 9), requires_grad=True),
+        "rpn.conv.bias": Tensor(np.zeros(mid, np.float32), requires_grad=True),
+        "rpn.obj.weight": Tensor(ad.fan_in_uniform(rng, (2 * k, mid, 1, 1), mid), requires_grad=True),
+        "rpn.obj.bias": Tensor(np.zeros(2 * k, np.float32), requires_grad=True),
+        "rpn.reg.weight": Tensor(ad.fan_in_uniform(rng, (4 * k, mid, 1, 1), mid), requires_grad=True),
+        "rpn.reg.bias": Tensor(np.zeros(4 * k, np.float32), requires_grad=True),
     }
 
 

@@ -76,6 +76,19 @@ class GenConfig:
                     raise ValueError(
                         f"glyph codebook violation: patterns {i} and {j} have Hamming "
                         f"distance {d} < {MIN_CODEBOOK_DISTANCE}")
+        for key in ("clutter_density", "noise_span"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        # _render_sample draws each half-axis a from object_fraction of half the side,
+        # at least GLYPH_HALF * 1.7, then its centre from uniform(a + 1, side - a - 1)
+        least = 2 * (GLYPH_HALF * 1.7 + 1)
+        if len(self.image_size) != 2 or min(self.image_size) < least:
+            raise ValueError(f"image_size sides must be >= {least:g}, got {self.image_size}")
+        frac = self.object_fraction
+        if (len(frac) != 2 or not 0 <= frac[0] <= frac[1]
+                or any(s - frac[1] * s / 2.0 - 1 < frac[1] * s / 2.0 + 1 for s in self.image_size)):
+            raise ValueError(f"object_fraction must be lo,hi with 0 <= lo <= hi <= 1 - 2 / side "
+                             f"for image_size {self.image_size}, got {frac}")
 
 
 @dataclass
@@ -245,6 +258,8 @@ def load_labels(split_dir) -> list:
                     out.append((name, int(label)))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: malformed label line") from exc
+                if out[-1][1] < 0:
+                    raise ValueError(f"{path}:{line_no}: negative class label {label}")
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing labels file: {path}") from exc
     return out

@@ -285,7 +285,7 @@ def small_cfg():
 def test_pseudo_boxes_cardinality_and_bounds(small_cfg):
     params = bb.init_maen_params(small_cfg, np.random.default_rng(6))
     image = np.random.default_rng(7).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
-    boxes, _ = att.pseudo_boxes(image, params, small_cfg)
+    boxes, _ = att.pseudo_boxes_batch([image], params, small_cfg)[0]
     assert boxes.shape == (len(small_cfg.tap_levels), 4) and boxes.dtype == np.float64
     for box in boxes:
         assert 0.0 <= box[0] < box[2] <= 64.0
@@ -297,7 +297,7 @@ def test_pseudo_boxes_degenerate_network_gives_whole_image(small_cfg):
     for p in params.values():
         p.data[...] = 0.0
     image = np.random.default_rng(9).uniform(0, 1, size=(3, 64, 64)).astype(np.float32)
-    boxes, _ = att.pseudo_boxes(image, params, small_cfg)
+    boxes, _ = att.pseudo_boxes_batch([image], params, small_cfg)[0]
     assert boxes.tolist() == [[0.0, 0.0, 64.0, 64.0]] * len(small_cfg.tap_levels)
 
 
@@ -318,7 +318,7 @@ def test_pseudo_boxes_batch_equals_per_image_across_grid_sizes():
     batched = att.pseudo_boxes_batch(images, params, config)
     assert len(batched) == len(images)
     for image, (boxes, late) in zip(images, batched):
-        want_boxes, want_late = att.pseudo_boxes(image, params, config)
+        want_boxes, want_late = att.pseudo_boxes_batch([image], params, config)[0]
         assert boxes.shape == (3, 4)
         assert np.array_equal(boxes, want_boxes)
         assert np.array_equal(late.data, want_late.data)

@@ -190,6 +190,13 @@ def test_eval_report(cli_pipeline, tmp_path):
     for key in ("accuracy", "localization_accuracy", "maen_localization_accuracy",
                 "pcl_average", "pcl_per_part", "confusion", "per_level_accuracy"):
         assert key in report, key
+    assert sorted(report) == [
+        "accuracy", "confusion", "correct_count", "dln_localization", "dln_mean_iou",
+        "dln_only_localized", "full_image_accuracy", "levels", "localization_accuracy",
+        "maen_localization", "maen_localization_accuracy", "maen_mean_iou",
+        "maen_only_localized", "pcl_average", "pcl_per_part", "per_level_accuracy",
+        "test_count", "timing", "top_confused_pairs",
+    ]
     assert (out / "confusion_matrix.csv").exists()
     assert (out / "pcl.csv").exists()
     assert (out / "run_config.txt").exists()
@@ -270,6 +277,17 @@ def test_model_commands_reject_configuration_flags(cli_pipeline, tmp_path, cli_c
             assert run(command + flag) == 1, (command[0], flag)
             assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("levels, error", [
+    ("late,bogus", "unknown tap level 'bogus'"), ("cam,cam", "tap level 'cam' is repeated"),
+])
+def test_train_rejects_unknown_or_repeated_level(tmp_path, capsys, levels, error):
+    out = tmp_path / "model"
+    assert run(["train", "--data", str(tmp_path / "data"), "--out", str(out),
+                "--levels", levels]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):

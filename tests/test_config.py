@@ -1,6 +1,19 @@
+import re
+
 import pytest
 
 from wsdl.config import RunConfig, TrainConfig, load_run_config
+
+# every key of a saved configuration; input_size and stride are derived, not keys
+KEYS = [
+    "anchors_per_image_sampled", "batch_maen", "cam_channels", "clutter_density",
+    "convs_per_stage", "decay_epoch_heads", "decay_epoch_maen", "decay_epoch_rpn",
+    "decay_factor", "epochs_heads", "epochs_maen", "epochs_rpn", "fg_fraction", "fg_iou",
+    "hidden", "image_size", "learning_rate", "loss_balance", "momentum", "neg_iou",
+    "nms_iou", "noise_span", "num_classes", "object_fraction", "pos_iou", "post_nms_top",
+    "pre_nms_top", "ratios", "roi_out", "rois_per_image", "rpn_channels", "scales", "seed",
+    "stage_channels", "tap_levels", "test_count", "train_count", "weight_decay",
+]
 
 
 def test_set_key_updates_every_holder():
@@ -42,6 +55,8 @@ def test_text_roundtrip(tmp_path):
     path.write_text(cfg.to_lines(), encoding="utf-8")
     again = load_run_config(path)
     assert again.to_lines() == cfg.to_lines()
+    assert [line.split(" = ")[0] for line in cfg.to_lines().splitlines()] == KEYS
+    assert sorted(RunConfig.default().schema()) == KEYS and len(KEYS) == 38
     assert again.gen.train_count == 120
     assert again.backbone.num_classes == 4
 
@@ -64,20 +79,24 @@ def test_sync_derived_follows_backbone(tmp_path):
     assert cfg.backbone.input_size == (32, 32)
     assert cfg.anchor.stride == 4
     assert cfg.backbone.grid_size == (8, 8)
-    # a saved config carries the derived values, and loads
+    # a saved config leaves out the derived values, and loads them back
     path = tmp_path / "model_config.txt"
     path.write_text(cfg.to_lines(), encoding="utf-8")
-    assert "stride = 4" in cfg.to_lines() and "input_size = 32,32" in cfg.to_lines()
-    assert load_run_config(path).to_lines() == cfg.to_lines()
+    assert "stride" not in cfg.schema() and "input_size" not in cfg.schema()
+    assert not re.search(r"^(stride|input_size) =", cfg.to_lines(), re.M)
+    again = load_run_config(path)
+    assert again.to_lines() == cfg.to_lines()
+    assert again.backbone.input_size == (32, 32) and again.anchor.stride == 4
 
 
-@pytest.mark.parametrize("key, raw, follows", [
-    ("input_size", "32,32", "image_size"), ("stride", "4", "stage_channels"),
+@pytest.mark.parametrize("key, raw", [
+    ("input_size", "32,32"), ("input_size", "64,64"), ("stride", "4"), ("stride", "8"),
 ])
-def test_derived_key_that_disagrees_is_rejected(tmp_path, key, raw, follows):
+def test_derived_key_is_rejected_as_unknown(tmp_path, key, raw):
+    # even the value the derivation gives: a derived value is not an option
     path = tmp_path / "run.cfg"
-    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"{key} = {raw} disagrees with {follows}"):
+    path.write_text(f"seed = 3\n{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(KeyError, match=re.escape(f"{path}:2: unknown configuration key: '{key}'")):
         load_run_config(path)
 
 

@@ -116,8 +116,8 @@ def test_stage3_proposals_equal_per_image_propose(tiny_setup, monkeypatch):
     view, cfg, model = tiny_setup.view, tiny_setup.config, tiny_setup.model
     table = pl.pseudo_box_table(view, cfg, model.maen)
     assert len(table) > pl.BATCH and len(table) % pl.BATCH  # a short last batch
-    want = [rpn.propose(*rpn.rpn_forward(model.rpn_params, late, cfg.anchor), model.anchors,
-                        cfg.anchor, cfg.backbone.input_size) for _, late in table]
+    want = [rpn.propose(*(t.data for t in rpn.rpn_forward(model.rpn_params, late, cfg.anchor)),
+                        model.anchors, cfg.anchor, cfg.backbone.input_size) for _, late in table]
     used = []
     real = hd.head_targets
 
@@ -154,6 +154,16 @@ def test_rejects_single_class_dataset(tmp_path):
     view = sd.TrainView(os.path.join(tmp_path, "train"))
     view.labels[...] = 0
     with pytest.raises(ValueError, match="2 classes"):
+        pl.train_stagewise(view, cfg)
+
+
+def test_rejects_a_split_with_one_label_value(tmp_path):
+    # one class, even when its label is not 0
+    cfg = tiny_config()
+    sd.generate_dataset(cfg.gen, tmp_path)
+    view = sd.TrainView(os.path.join(tmp_path, "train"))
+    view.labels[...] = 1
+    with pytest.raises(ValueError, match="at least 2 classes, found 1"):
         pl.train_stagewise(view, cfg)
 
 
@@ -199,7 +209,7 @@ def test_paired_localization_figures_follow_per_image_iou(tiny_setup):
     for name, image in zip(view.filenames, view.images):
         gt = annotations[name].object_box
         pred = pl.infer(image, model)
-        boxes, _ = att.pseudo_boxes(image, model.maen_params, model.config.backbone)
+        boxes, _ = att.pseudo_boxes_batch([image], model.maen_params, model.config.backbone)[0]
         for level, box in zip(model.levels, boxes):
             dln[level].append(rpn.iou(pred.per_level[level].box, gt))
             maen[level].append(rpn.iou(Box(*box), gt))
@@ -250,7 +260,7 @@ def test_batched_evaluation_equals_per_image_path(tiny_setup, monkeypatch):
     monkeypatch.setattr(hd, "roi_pool_batch", roi_pool_batch)
 
     reference = [pl.infer(img, model) for img in images]
-    reference_boxes = [att.pseudo_boxes(img, model.maen_params, bc)[0] for img in images]
+    reference_boxes = [att.pseudo_boxes_batch([img], model.maen_params, bc)[0][0] for img in images]
     assert pooled_rows[5] == 2 and min(pooled_rows[:5] + pooled_rows[6:]) > 2
 
     batched, attended = [], []
@@ -352,7 +362,7 @@ def test_infer_separate_matches_shared(tiny_setup, monkeypatch):
 def test_boxes_are_built_only_for_predictions(tiny_setup, monkeypatch):
     model, cfg = tiny_setup.model, tiny_setup.config
     img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
-    boxes, late = att.pseudo_boxes(img, model.maen_params, cfg.backbone)
+    boxes, late = att.pseudo_boxes_batch([img], model.maen_params, cfg.backbone)[0]
     pseudo = boxes[-1]
     built = _box_builds(monkeypatch)
 
@@ -362,7 +372,8 @@ def test_boxes_are_built_only_for_predictions(tiny_setup, monkeypatch):
         built.clear()
 
     probs, deltas = rpn.rpn_forward(model.rpn_params, late, cfg.anchor)
-    proposals = rpn.propose(probs, deltas, model.anchors, cfg.anchor, cfg.backbone.input_size)
+    proposals = rpn.propose(probs.data, deltas.data, model.anchors, cfg.anchor,
+                            cfg.backbone.input_size)
     rois, *_ = hd.head_targets(proposals, pseudo, 0, cfg.head, np.random.default_rng(0),
                                cfg.backbone.input_size)
     assert len(proposals) and rois.shape[1] == 4
@@ -433,7 +444,7 @@ def test_loaded_model_maps_record_no_graph(tiny_setup, tmp_path):
     # a loaded model's tables are frozen, and so are images: no op records
     model = pl.load_model(_saved_model(tiny_setup, tmp_path))
     image = tiny_setup.view.images[0]
-    _, late = att.pseudo_boxes(image, model.maen_params, model.config.backbone)
+    _, late = att.pseudo_boxes_batch([image], model.maen_params, model.config.backbone)[0]
     for fmap in (pl._trunk(image, model), late):
         assert fmap._grad_fn is None and fmap._parents == () and not fmap.requires_grad
 

@@ -187,7 +187,7 @@ def test_sampling_cap_and_balance(cfg):
     assert n_pos >= 1
     assert n_pos + n_neg == len(batch.sampled)
     assert n_pos <= cfg.anchors_per_image_sampled // 2
-    assert batch.n_positions == 64
+    assert len(batch.labels) // cfg.anchors_per_cell == 64  # one label per anchor of 64 cells
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,33 @@ def test_malformed_lines_error(tmp_path):
     (split / "labels.tsv").write_text("img.ppm\tnotanumber\n")
     with pytest.raises(ValueError, match="labels.tsv:1"):
         sd.load_labels(split)
+    (split / "labels.tsv").write_text("a.ppm\t0\nb.ppm\t-1\n")
+    with pytest.raises(ValueError, match="labels.tsv:2: negative class label -1"):
+        sd.load_labels(split)
     (split / "annotations.tsv").write_text("img.ppm\t1 2 3\t4,5\n")
     with pytest.raises(ValueError, match="annotations.tsv:1"):
         sd.load_annotations(split)
+
+
+BAD_GEN_VALUES = [
+    ("object_fraction", (0.9, 1.2)), ("object_fraction", (0.6, 0.3)),
+    ("object_fraction", (-0.1, 0.5)), ("object_fraction", (0.5, 0.97)),
+    ("object_fraction", (0.5,)), ("image_size", (16, 16)), ("image_size", (64, 18)),
+    ("noise_span", -2), ("clutter_density", -1),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_GEN_VALUES, ids=[f"{k}={v}" for k, v in BAD_GEN_VALUES])
+def test_gen_config_rejects_values_the_renderer_cannot_draw(key, value):
+    with pytest.raises(ValueError, match=key):
+        sd.GenConfig(**{key: value})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"image_size": (19, 19)}, {"object_fraction": (0.9, 0.96875)},  # 0.96875 = 1 - 2/64
+    {"object_fraction": (0.0, 0.0), "noise_span": 0, "clutter_density": 0},
+])
+def test_gen_config_range_ends_render(tmp_path, kwargs):
+    config = sd.GenConfig(num_classes=2, train_count=6, test_count=0, **kwargs)
+    sd.generate_dataset(config, tmp_path)
+    assert len(sd.load_labels(tmp_path / "train")) == 6
