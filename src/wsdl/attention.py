@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import backbone as bb
-from .autodiff import Tensor
 
 OTSU_BINS = 256
 
@@ -191,7 +190,7 @@ def largest_component_bbox(mask: np.ndarray) -> Box | None:
 def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> list:
     """Per image: ``(boxes, late)``, its pseudo boxes as an [L,4] float64 corner
     table in ``tap_levels`` order (a constant map or empty foreground gives the
-    whole-image box) and the last stage output [1,C,h,w] of the same pass.
+    whole-image box) and the same pass's last stage output, a [1,C,h,w] array.
 
     One classification-network pass per image, at batch 1 so that its cam
     logits (and the predicted class that weighs the cam map) keep a lone
@@ -205,13 +204,13 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
     maps, lates = [], []
     for image in images:
         stage_outputs, cam_map, logits = bb.maen_forward(
-            maen_params, Tensor(np.asarray(image)[None]), config)
+            maen_params, np.asarray(image)[None], config)
         predicted = int(ad.softmax(logits).data[0].argmax())
         taps = {"mid": stage_outputs[-2], "late": stage_outputs[-1], "cam": cam_map}
         for level in levels:
             weights = class_weights[:, predicted] if level == "cam" else None
             maps.append(attention_map(taps[level].data[0], weights))
-        lates.append(stage_outputs[-1])
+        lates.append(stage_outputs[-1].data)
 
     masks, _ = binarize(maps)
     n = len(levels)

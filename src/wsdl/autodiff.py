@@ -3,17 +3,19 @@
 Tensors wrap numpy arrays (float32 for training storage, float64 in tests
 and oracles). Whether an operation records a graph depends only on its
 inputs: one that touches a gradient-requiring input records its inputs and
-a gradient closure on the output, and one over frozen tensors only (images,
-loaded checkpoint tables) records nothing. ``backward`` walks the recorded
-graph once in reverse topological order and accumulates adjoints additively
-into the ``.grad`` of its leaves, the tensors that no recorded operation
-produced; intermediate tensors keep ``.grad`` None. A graph lives as long as
-a reference to its output does, so a training step that drops its loss frees
-its whole graph. A recorded op keeps its inputs and outputs, not scratch
-buffers: ``conv2d`` rebuilds its im2col columns from its input in backward,
-so writing a recorded input in place before ``backward`` changes the
-gradients (only ``SGD.step`` writes ``.data`` in place, after backward).
-Only the operation set needed by the localization pipeline is provided.
+a gradient closure on the output, and one over frozen tensors only (loaded
+checkpoint tables, or an image batch or shared map wrapped as an op's input;
+values no gradient reaches travel as plain arrays) records nothing.
+``backward`` walks the recorded graph once in reverse topological order and
+accumulates adjoints additively into the ``.grad`` of its leaves, the
+tensors that no recorded operation produced; intermediate tensors keep
+``.grad`` None. A graph lives as long as a reference to its output does, so
+a training step that drops its loss frees its whole graph. A recorded op
+keeps its inputs and outputs, not scratch buffers: ``conv2d`` rebuilds its
+im2col columns from its input in backward, so writing a recorded input in
+place before ``backward`` changes the gradients (only ``SGD.step`` writes
+``.data`` in place, after backward). Only the operation set needed by the
+localization pipeline is provided.
 """
 
 from __future__ import annotations
@@ -401,37 +403,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), grad_fn)
 
 
-def center_mean(x: Tensor) -> Tensor:
-    """Subtract each sample's scalar mean (axis 0 is the batch)."""
-    axes = tuple(range(1, x.ndim))
-    y = x.data - x.data.mean(axis=axes, keepdims=True)
-
-    def grad_fn(g):
-        return (g - g.mean(axis=axes, keepdims=True),)
-
-    return _make(y, (x,), grad_fn)
-
-
-def rms_normalize(x: Tensor, eps: float) -> Tensor:
-    """Divide each row of x [N,D] by its root mean square plus ``eps``.
-
-    An all-zero row maps to zeros. The gradient flows through the RMS too.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"rms_normalize expects [N,D], got {x.shape}")
-    rms = np.sqrt(np.mean(np.square(x.data), axis=1, keepdims=True))
-    denom = rms + eps
-    y = x.data / denom
-
-    def grad_fn(g):
-        # d rms / dx = x / (D rms); x is zero wherever rms is, so guard the division
-        coupling = (g * x.data).sum(axis=1, keepdims=True) / (
-            x.shape[1] * np.where(rms > 0, rms, 1.0) * denom * denom)
-        return (g / denom - x.data * coupling,)
-
-    return _make(y, (x,), grad_fn)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     def grad_fn(g):
         return (g * c,)
@@ -492,7 +463,7 @@ def take_rows(x: Tensor, idx) -> Tensor:
 # optimizer
 
 
-def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float32) -> np.ndarray:
+def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Zero-mean uniform initialization scaled by fan-in.
 
     The limit sqrt(6/fan_in) keeps activation variance roughly constant
@@ -500,7 +471,7 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float3
     signal and stall training.
     """
     limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class SGD:

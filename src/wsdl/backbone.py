@@ -4,14 +4,16 @@ Three stages of (conv3x3 + relu) x 2 followed by 2x2 max pooling leave the
 shared feature map at stride 8 over 64x64 inputs. The classification network
 adds one more 3x3 conv ("cam" tap), global average pooling, and a linear
 classifier; its attention maps later supervise the localization network.
-The forward passes return plain tensors: ``stage_forward`` one map per
-stage, ``maen_forward`` those maps, the cam map and the logits. A tap level
-names one of them ("mid" the next-to-last stage output, "late" the last,
-"cam" the cam map), and ``BackboneConfig.tap_stride`` gives its stride.
+The forward passes take the images as an [N,3,H,W] array and return
+tensors: ``stage_forward`` one map per stage, ``maen_forward`` those maps,
+the cam map and the logits. A tap level names one of them ("mid" the
+next-to-last stage output, "late" the last, "cam" the cam map), and
+``BackboneConfig.tap_stride`` gives its stride.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -103,18 +105,18 @@ def init_maen_params(config: BackboneConfig, rng: np.random.Generator) -> dict:
 # forward passes
 
 
-def _check_images(images: Tensor, config: BackboneConfig):
+def _check_images(images: np.ndarray, config: BackboneConfig):
     if images.ndim != 4 or images.shape[1] != 3:
         raise ad.ShapeError(f"expected images [N,3,H,W], got {images.shape}")
     if tuple(images.shape[2:]) != config.input_size:
         raise ad.ShapeError(
             f"image extent {tuple(images.shape[2:])} does not match config {config.input_size}")
-    lo, hi = images.data.min(), images.data.max()
+    lo, hi = images.min(), images.max()
     if not (0.0 <= lo and hi <= 1.0):  # a NaN pixel fails it too
         raise ValueError(f"pixel values must lie in [0,1], got [{lo}, {hi}]")
 
 
-def stage_forward(params: dict, images: Tensor, config: BackboneConfig) -> list:
+def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> list:
     """Run the shared stages; returns one post-pool feature map per stage.
 
     Each sample's scalar mean is subtracted before the first conv: inputs
@@ -122,7 +124,7 @@ def stage_forward(params: dict, images: Tensor, config: BackboneConfig) -> list:
     during from-scratch training. A zero image is unchanged (mean zero).
     """
     _check_images(images, config)
-    x = ad.center_mean(images)
+    x = Tensor(images - images.mean(axis=(1, 2, 3), keepdims=True))
     outputs = []
     for s in range(len(config.stage_channels)):
         for j in range(config.convs_per_stage):
@@ -133,7 +135,7 @@ def stage_forward(params: dict, images: Tensor, config: BackboneConfig) -> list:
     return outputs
 
 
-def maen_forward(params: dict, images: Tensor, config: BackboneConfig) -> tuple:
+def maen_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> tuple:
     """Classification-network forward: ``(stage_outputs, cam_map, cam_logits)``."""
     stage_outputs = stage_forward(params, images, config)
     cam_map = ad.relu(ad.conv2d(stage_outputs[-1], params["cam.conv.weight"],
@@ -211,10 +213,7 @@ def load_checkpoint(path) -> Checkpoint:
         off += name_len
         (rank,) = take("<B")
         dims = take(f"<{rank}I") if rank else ()
-        n = int(np.prod(dims)) if rank else 1
-        if rank and 0 in dims:
-            n = 0
-        nbytes = 4 * n
+        nbytes = 4 * math.prod(dims)
         if off + nbytes > len(data):
             raise ValueError(f"{path}: truncated checkpoint values for {name}")
         arr = np.frombuffer(data[off : off + nbytes], dtype="<f4").reshape(dims)

@@ -125,7 +125,9 @@ class RunConfig:
         schema = self.schema()
         return "".join(f"{key} = {_format_value(schema[key])}\n" for key in sorted(schema))
 
-    def apply_text(self, text: str, source: str = "<config>"):
+    def apply_text(self, text: str, source: str = "<config>") -> list:
+        """Set each ``key = value`` line of ``text``; returns the keys set, in order."""
+        keys = []
         for line_no, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -133,12 +135,15 @@ class RunConfig:
             if "=" not in stripped:
                 raise ValueError(f"{source}:{line_no}: expected 'key = value', got {line!r}")
             key, _, raw = stripped.partition("=")
+            key = key.strip()
             try:
-                self.set_key(key.strip(), raw)
+                self.set_key(key, raw)
             except KeyError as exc:
                 raise KeyError(f"{source}:{line_no}: {exc.args[0]}") from exc
             except ValueError as exc:
-                raise ValueError(f"{source}:{line_no}: bad value for {key.strip()!r}: {exc}") from exc
+                raise ValueError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
+            keys.append(key)
+        return keys
 
 
 def load_run_config(path) -> RunConfig:

@@ -156,39 +156,35 @@ def roi_table(proposals, image_size) -> np.ndarray:
 # head network
 
 
-def init_head_params(config: HeadConfig, in_channels: int, rng: np.random.Generator,
-                     dtype=np.float32) -> dict:
+def init_head_params(config: HeadConfig, in_channels: int, rng: np.random.Generator) -> dict:
     flat = in_channels * config.roi_out[0] * config.roi_out[1]
     return {
-        "head.fc.weight": Tensor(ad.fan_in_uniform(rng, (flat, config.hidden), flat, dtype),
+        "head.fc.weight": Tensor(ad.fan_in_uniform(rng, (flat, config.hidden), flat),
                                  requires_grad=True),
-        "head.fc.bias": Tensor(np.zeros(config.hidden, dtype=dtype), requires_grad=True),
+        "head.fc.bias": Tensor(np.zeros(config.hidden, np.float32), requires_grad=True),
         "head.cls.weight": Tensor(ad.fan_in_uniform(rng, (config.hidden, config.num_classes + 1),
-                                                    config.hidden, dtype), requires_grad=True),
-        "head.cls.bias": Tensor(np.zeros(config.num_classes + 1, dtype=dtype), requires_grad=True),
-        "head.reg.weight": Tensor(ad.fan_in_uniform(rng, (config.hidden, 4), config.hidden, dtype),
+                                                    config.hidden), requires_grad=True),
+        "head.cls.bias": Tensor(np.zeros(config.num_classes + 1, np.float32), requires_grad=True),
+        "head.reg.weight": Tensor(ad.fan_in_uniform(rng, (config.hidden, 4), config.hidden),
                                   requires_grad=True),
-        "head.reg.bias": Tensor(np.zeros(4, dtype=dtype), requires_grad=True),
+        "head.reg.bias": Tensor(np.zeros(4, np.float32), requires_grad=True),
     }
 
 
-def head_forward(params: dict, pooled, config: HeadConfig):
-    """Pooled RoIs [R,C',oh,ow] -> (softmax class scores [R,C+1], deltas [R,4]).
+def head_forward(params: dict, pooled: np.ndarray, config: HeadConfig):
+    """Pooled RoIs, an [R,C',oh,ow] array -> (softmax class scores [R,C+1], deltas [R,4]).
 
     Each flattened RoI is divided by its RMS plus ``RMS_EPS`` before the fc
     layer, so the scores do not depend on the RoI's overall scale and the
     heavy-tailed shared features cannot saturate the softmax. The paper does
     not say how RoI features are scaled; this per-RoI normalization is a
-    choice of this reproduction (as in ParseNet, arXiv 1506.04579). A
-    gradient-requiring ``pooled`` Tensor gets its gradient through it.
+    choice of this reproduction (as in ParseNet, arXiv 1506.04579).
     """
-    x = pooled if isinstance(pooled, Tensor) else Tensor(pooled)
-    r = x.shape[0]
-    flat_dim = int(np.prod(x.shape[1:]))
-    if flat_dim != params["head.fc.weight"].shape[0]:
-        raise ad.ShapeError(
-            f"pooled features flatten to {flat_dim}, head expects {params['head.fc.weight'].shape[0]}")
-    flat = ad.rms_normalize(ad.reshape(x, (r, flat_dim)), RMS_EPS)
+    flat = pooled.reshape(len(pooled), -1)
+    if flat.shape[1] != params["head.fc.weight"].shape[0]:
+        raise ad.ShapeError(f"pooled features flatten to {flat.shape[1]}, "
+                            f"head expects {params['head.fc.weight'].shape[0]}")
+    flat = Tensor(flat / (np.sqrt(np.mean(np.square(flat), axis=1, keepdims=True)) + RMS_EPS))
     hidden = ad.relu(ad.linear(flat, params["head.fc.weight"], params["head.fc.bias"]))
     scores = ad.softmax(ad.linear(hidden, params["head.cls.weight"], params["head.cls.bias"]))
     deltas = ad.linear(hidden, params["head.reg.weight"], params["head.reg.bias"])

@@ -21,6 +21,7 @@ bit the outputs of one image at a time.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from . import backbone as bb
 from . import heads as hd
 from . import rpn
 from .autodiff import Tensor
-from .config import RunConfig, load_run_config
+from .config import RunConfig
 
 LOG_LINE = "stage={stage} epoch={epoch} loss={loss:.6f} acc={acc:.4f}"
 
@@ -92,12 +93,12 @@ def _sgd_step(opt: ad.SGD, loss: Tensor) -> float:
 def _maen_step(params: dict, opt: ad.SGD, images: np.ndarray, labels: np.ndarray,
                bc) -> tuple:
     """One stage-1 step on a batch, weighted by its images."""
-    probs = ad.softmax(bb.maen_forward(params, Tensor(images), bc)[2])
+    probs = ad.softmax(bb.maen_forward(params, images, bc)[2])
     loss = _sgd_step(opt, ad.cross_entropy(probs, labels))
     return loss, len(labels), int((probs.data.argmax(axis=1) == labels).sum()), len(labels)
 
 
-def _rpn_step(params: dict, opt: ad.SGD, late: Tensor, batch: rpn.AnchorBatch,
+def _rpn_step(params: dict, opt: ad.SGD, late: np.ndarray, batch: rpn.AnchorBatch,
               ac) -> tuple:
     """One stage-2 step on one image's sampled anchors."""
     probs, deltas = rpn.rpn_forward(params, late, ac)
@@ -153,7 +154,8 @@ def _check_view(view, config: RunConfig):
 
 def pseudo_box_table(view, config: RunConfig, maen_ckpt: bb.Checkpoint) -> list:
     """Per training image: (pseudo boxes [L,4] in ``tap_levels`` order, last
-    stage output), from one pass of the frozen classification network."""
+    stage output as a [1,C,h,w] array), from one pass of the frozen
+    classification network."""
     _check_view(view, config)
     maen_params = bb.checkpoint_to_params(maen_ckpt)
     table = []
@@ -230,7 +232,7 @@ def train_heads(view, config: RunConfig, table: list, dln_ckpt: bb.Checkpoint,
             for level, box in zip(bc.tap_levels, boxes):
                 rois, cls_t, delta_t, fg = hd.head_targets(
                     proposals[i], box, int(view.labels[i]), hc, rng_sample, bc.input_size)
-                pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
+                pooled = hd.roi_pool_batch(late[0], rois, stride, hc.roi_out)
                 yield _head_step(params[level], opts[level], pooled, cls_t, delta_t, fg, hc)
 
     _epochs("heads", config, opts.values(), steps, len(view), log_fn)
@@ -268,19 +270,18 @@ def _refine_boxes(deltas: np.ndarray, proposals: np.ndarray, image_size) -> list
     return [att.Box(*(p if c else d)) for d, p, c in zip(decoded, proposals, collapsed)]
 
 
-def _trunk(image, model: TrainedModel) -> Tensor:
-    """The last stage output [1,C,h,w] of one image."""
-    return bb.stage_forward(model.maen_params, Tensor(np.asarray(image)[None]),
-                            model.config.backbone)[-1]
+def _trunk(image, model: TrainedModel) -> np.ndarray:
+    """The last stage output of one image, a [1,C,h,w] array."""
+    return bb.stage_forward(model.maen_params, np.asarray(image)[None],
+                            model.config.backbone)[-1].data
 
 
 def _proposals(rpn_params: dict, lates: list, anchors: np.ndarray, config: RunConfig) -> list:
-    """The proposals [K,4] of each [1,C,h,w] map of ``lates``: one
+    """The proposals [K,4] of each [1,C,h,w] map array of ``lates``: one
     proposal-network pass per ``BATCH`` of maps, then ``rpn.propose`` per map."""
     proposals = []
     for group in batches(lates):
-        probs, deltas = rpn.rpn_forward(
-            rpn_params, Tensor(np.concatenate([late.data for late in group])), config.anchor)
+        probs, deltas = rpn.rpn_forward(rpn_params, np.concatenate(group), config.anchor)
         for p, d in zip(np.split(probs.data, len(group)), np.split(deltas.data, len(group))):
             proposals.append(rpn.propose(p, d, anchors, config.anchor,
                                          config.backbone.input_size))
@@ -289,10 +290,10 @@ def _proposals(rpn_params: dict, lates: list, anchors: np.ndarray, config: RunCo
 
 def _infer(model: TrainedModel, groups) -> list:
     """One prediction per image of a batch. ``groups`` holds, per image, its
-    (levels, last stage output [1,C,h,w]) passes, which cover ``model.levels``
-    in order. Each map gets its own proposals (``_proposals``), pooled RoIs and
-    the heads of its levels, and each image its own refined boxes and fused
-    scores."""
+    (levels, last stage output as a [1,C,h,w] array) passes, which cover
+    ``model.levels`` in order. Each map gets its own proposals
+    (``_proposals``), pooled RoIs and the heads of its levels, and each image
+    its own refined boxes and fused scores."""
     bc, hc = model.config.backbone, model.config.head
     image_size = bc.input_size
     stride = bc.tap_stride("late")
@@ -306,7 +307,7 @@ def _infer(model: TrainedModel, groups) -> list:
             if not len(proposals):
                 proposals = hd.roi_table(proposals, image_size)
             rois = hd.roi_table(proposals, image_size)
-            pooled = hd.roi_pool_batch(late.data[0], rois, stride, hc.roi_out)
+            pooled = hd.roi_pool_batch(late[0], rois, stride, hc.roi_out)
             for level in levels:
                 scores_t, deltas_t = hd.head_forward(model.head_params[level], pooled, hc)
                 s = scores_t.data
@@ -347,6 +348,8 @@ def infer_batch(images, model: TrainedModel) -> list:
 
 def maen_pseudo_box(image, model: TrainedModel, level: str = "cam") -> att.Box:
     """The classification network's direct pseudo box for one image."""
+    if level not in model.levels:
+        raise ValueError(f"level {level!r} is not one of the model's levels {model.levels}")
     boxes, _ = att.pseudo_boxes_batch([image], model.maen_params, model.config.backbone)[0]
     return att.Box(*boxes[model.levels.index(level)].tolist())
 
@@ -404,7 +407,15 @@ def load_checkpoints(model_dir, config: RunConfig, count=None) -> list:
 
 
 def load_model(model_dir) -> TrainedModel:
-    """Load a saved model, checking every checkpoint against ``model_config.txt``."""
-    config = load_run_config(os.path.join(model_dir, "model_config.txt"))
+    """Load a saved model, checking every checkpoint against ``model_config.txt``,
+    which must set every configuration key once, as ``save_model`` writes it."""
+    path = os.path.join(model_dir, "model_config.txt")
+    config = RunConfig.default()
+    with open(path, encoding="utf-8") as fh:
+        keys = Counter(config.apply_text(fh.read(), source=path))
+    for key in config.schema():
+        if keys[key] != 1:
+            raise ValueError(f"{path}: key {key!r} is {'missing' if not keys[key] else 'repeated'}")
+    config.sync_derived()
     maen, dln, *heads = load_checkpoints(model_dir, config)
     return TrainedModel(maen, dln, dict(zip(config.backbone.tap_levels, heads)), config)

@@ -311,9 +311,9 @@ def init_rpn_params(in_channels: int, config: AnchorConfig, rng: np.random.Gener
     }
 
 
-def rpn_forward(params: dict, shared_map: Tensor, config: AnchorConfig):
-    """Slide the head over N stacked maps [N,C,h,w]; returns per-anchor probs
-    [N*A,2] and deltas [N*A,4], image by image.
+def rpn_forward(params: dict, shared_map: np.ndarray, config: AnchorConfig):
+    """Slide the head over N stacked maps, an [N,C,h,w] array; returns
+    per-anchor probs [N*A,2] and deltas [N*A,4], image by image.
 
     Within an image, rows follow the anchor order of ``generate_anchors``: grid
     cells row-major, then anchor index within the cell. ``conv2d`` runs one
@@ -322,8 +322,8 @@ def rpn_forward(params: dict, shared_map: Tensor, config: AnchorConfig):
     """
     n, _, h, w = shared_map.shape
     k = config.anchors_per_cell
-    trunk = ad.relu(ad.conv2d(shared_map, params["rpn.conv.weight"], params["rpn.conv.bias"],
-                              stride=1, pad=1))
+    trunk = ad.relu(ad.conv2d(Tensor(shared_map), params["rpn.conv.weight"],
+                              params["rpn.conv.bias"], stride=1, pad=1))
     obj = ad.conv2d(trunk, params["rpn.obj.weight"], params["rpn.obj.bias"])
     reg = ad.conv2d(trunk, params["rpn.reg.weight"], params["rpn.reg.bias"])
     obj_logits = ad.reshape(ad.transpose(obj, (0, 2, 3, 1)), (n * h * w * k, 2))

@@ -611,49 +611,6 @@ def test_gradcheck_take_rows_and_plumbing():
     _check(build, params, 25)
 
 
-def test_gradcheck_center_mean():
-    weights = np.random.default_rng(28).normal(size=(2, 3, 4))
-
-    def params(rng):
-        return (t(rng.normal(size=(2, 3, 4))),)
-
-    def build(x):
-        return ad.sum_all(ad.mul_const(ad.center_mean(x), weights))
-
-    _check(build, params, 29)
-
-
-def test_gradcheck_rms_normalize():
-    weights = np.random.default_rng(40).normal(size=(4, 5))
-    scales = np.array([0.01, 1.0, 50.0, 3.0])[:, None]
-
-    def mixed_scale(rng):
-        return (t(rng.normal(size=(4, 5)) * scales),)
-
-    def with_zero_row(rng):
-        x = rng.normal(size=(4, 5))
-        x[2] = 0.0
-        return (t(x),)
-
-    for eps, params, seed in [(1e-6, mixed_scale, 41), (1.0, with_zero_row, 42)]:
-        def build(x, eps=eps):
-            return ad.sum_all(ad.mul_const(ad.rms_normalize(x, eps), weights))
-
-        _check(build, params, seed)
-
-
-def test_rms_normalize_examples():
-    x = t([[3.0, -4.0], [0.0, 0.0]], grad=False)
-    y = ad.rms_normalize(x, 1e-6).data
-    assert np.allclose(y[0], np.array([3.0, -4.0]) / math.sqrt(12.5))
-    assert np.array_equal(y[1], [0.0, 0.0])
-
-
-def test_center_mean_zero_for_constant_rows():
-    x = t(np.full((2, 3, 3), 1.7), grad=False)
-    assert np.allclose(ad.center_mean(x).data, 0.0, atol=1e-12)
-
-
 def test_gradcheck_transpose_reshape():
     weights = np.random.default_rng(26).normal(size=(6, 2))
 

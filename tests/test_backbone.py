@@ -7,7 +7,6 @@ import pytest
 
 from wsdl import autodiff as ad
 from wsdl import backbone as bb
-from wsdl.autodiff import Tensor
 
 from conftest import tiny_config
 
@@ -39,7 +38,7 @@ def test_config_validation():
 
 
 def test_tap_strides_cover_input(cfg, params):
-    stage_outputs, cam_map, _ = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
+    stage_outputs, cam_map, _ = bb.maen_forward(params, _image_batch(1), cfg)
     taps = {"late": stage_outputs[-1], "cam": cam_map}
     for name, fmap in taps.items():
         stride = cfg.tap_stride(name)
@@ -54,22 +53,24 @@ def test_tap_strides_cover_input(cfg, params):
 def test_mid_tap_when_configured():
     cfg = bb.BackboneConfig(num_classes=4, tap_levels=("mid", "late", "cam"))
     params = bb.init_maen_params(cfg, np.random.default_rng(1))
-    stage_outputs, _, _ = bb.maen_forward(params, Tensor(_image_batch(1)), cfg)
+    stage_outputs, _, _ = bb.maen_forward(params, _image_batch(1), cfg)
     assert stage_outputs[-2].shape[2:] == (16, 16)
     assert cfg.tap_stride("mid") == 4
 
 
 def test_zero_image_zero_bias_gives_zero_taps(cfg, params):
-    stage_outputs, cam_map, _ = bb.maen_forward(
-        params, Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)), cfg)
-    for fmap in (stage_outputs[-1], cam_map):
-        assert np.all(fmap.data == 0.0)
+    # each image's mean is subtracted first, so any constant image enters as zeros
+    for fill in (0.0, 0.5):
+        stage_outputs, cam_map, _ = bb.maen_forward(
+            params, np.full((1, 3, 64, 64), fill, dtype=np.float32), cfg)
+        for fmap in (*stage_outputs, cam_map):
+            assert np.all(fmap.data == 0.0), fill
 
 
 def test_identical_images_identical_rows(cfg, params):
     one = _image_batch(1, seed=5)
     batch = np.repeat(one, 3, axis=0)
-    stage_outputs, cam_map, logits = bb.maen_forward(params, Tensor(batch), cfg)
+    stage_outputs, cam_map, logits = bb.maen_forward(params, batch, cfg)
     for fmap in (stage_outputs[-1], cam_map):
         assert np.array_equal(fmap.data[0], fmap.data[1])
         assert np.array_equal(fmap.data[0], fmap.data[2])
@@ -83,10 +84,10 @@ def test_trunk_outputs_do_not_depend_on_batch_size(n):
     cfg = tiny_config().backbone
     params = bb.init_maen_params(cfg, np.random.default_rng(5))
     images = _image_batch(n, seed=6)
-    _, batch_cam, _ = bb.maen_forward(params, Tensor(images), cfg)
-    batch_stages = bb.stage_forward(params, Tensor(images), cfg)
+    _, batch_cam, _ = bb.maen_forward(params, images, cfg)
+    batch_stages = bb.stage_forward(params, images, cfg)
     for i in range(n):
-        one = Tensor(images[i : i + 1])
+        one = images[i : i + 1]
         for got, want in zip(batch_stages, bb.stage_forward(params, one, cfg), strict=True):
             assert np.array_equal(got.data[i : i + 1].view(np.uint32), want.data.view(np.uint32))
         want_cam = bb.maen_forward(params, one, cfg)[1].data
@@ -96,13 +97,13 @@ def test_trunk_outputs_do_not_depend_on_batch_size(n):
 
 def test_forward_rejects_bad_inputs(cfg, params):
     with pytest.raises(ad.ShapeError):
-        bb.maen_forward(params, Tensor(np.zeros((1, 3, 32, 32))), cfg)
+        bb.maen_forward(params, np.zeros((1, 3, 32, 32)), cfg)
     with pytest.raises(ValueError):
-        bb.maen_forward(params, Tensor(np.full((1, 3, 64, 64), 1.5)), cfg)
+        bb.maen_forward(params, np.full((1, 3, 64, 64), 1.5), cfg)
     nan_pixel = _image_batch(2)
     nan_pixel[1, 2, 5, 7] = np.nan
     with pytest.raises(ValueError, match=r"pixel values must lie in \[0,1\]"):
-        bb.maen_forward(params, Tensor(nan_pixel), cfg)
+        bb.maen_forward(params, nan_pixel, cfg)
 
 
 def _held_buffer_bytes(roots, skip) -> int:
@@ -127,7 +128,7 @@ def _held_buffer_bytes(roots, skip) -> int:
 
 
 def test_recorded_forward_holds_only_its_tensors(cfg, params):
-    images = Tensor(_image_batch(4))
+    images = _image_batch(4)
     bb.maen_forward(params, images, cfg)  # warm-up: first-call allocations are not held
     tracemalloc.start()
     try:
@@ -138,7 +139,7 @@ def test_recorded_forward_holds_only_its_tensors(cfg, params):
         tracemalloc.stop()
     assert logits.requires_grad
     roots = [logits, *stage_outputs, cam_map]
-    tensors = _held_buffer_bytes(roots, [images.data] + [p.data for p in params.values()])
+    tensors = _held_buffer_bytes(roots, [images] + [p.data for p in params.values()])
     # 64 KiB covers the Tensor objects and closures; no op keeps a buffer of its own
     assert held <= tensors + 64 * 1024
 
@@ -175,6 +176,16 @@ def test_checkpoint_magic_and_truncation_errors(tmp_path):
     trunc.write_bytes(good.read_bytes()[:-3])
     with pytest.raises(ValueError, match="truncated"):
         bb.load_checkpoint(trunc)
+
+
+def test_checkpoint_dims_whose_product_overflows_int64_are_truncation(tmp_path):
+    # 65536**4 == 2**64: an int64 product wraps to 0 elements
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(bb.CHECKPOINT_MAGIC + struct.pack("<II", bb.CHECKPOINT_VERSION, 1)
+                     + struct.pack("<H", 1) + b"w" + struct.pack("<B4I", 4, *[65536] * 4))
+    with pytest.raises(ValueError,
+                       match=f"{re.escape(str(path))}: truncated checkpoint values for w"):
+        bb.load_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):

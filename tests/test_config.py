@@ -67,8 +67,8 @@ def test_apply_text_errors():
         cfg.apply_text("seed = 3\nnot a line\n", source="cfg")
     with pytest.raises(KeyError):
         cfg.apply_text("who = knows\n", source="cfg")
-    cfg.apply_text("# comment\n\nseed = 9\n", source="cfg")
-    assert cfg.train.seed == 9
+    assert cfg.apply_text("# comment\n\nseed = 9\nseed = 10\n", source="cfg") == ["seed", "seed"]
+    assert cfg.train.seed == 10
 
 
 def test_sync_derived_follows_backbone(tmp_path):

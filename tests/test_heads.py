@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -191,24 +193,14 @@ def test_head_forward_zero_roi_finite(cfg):
     assert np.allclose(zero_bias.data[0], scores.data[0])
 
 
-def test_head_forward_gradient_reaches_pooled(cfg):
-    params = heads.init_head_params(cfg, in_channels=2, rng=np.random.default_rng(16),
-                                    dtype=np.float64)
-    rng = np.random.default_rng(17)
-    pooled = Tensor(rng.normal(size=(3, 2, 4, 4)) * np.array([0.5, 1.0, 20.0])[:, None, None, None],
-                    requires_grad=True)
-    w_scores = rng.normal(size=(3, cfg.num_classes + 1))
-    w_deltas = rng.normal(size=(3, 4))
-
-    def forward():
-        scores, deltas = heads.head_forward(params, pooled, cfg)
-        return ad.add(ad.sum_all(ad.mul_const(scores, w_scores)),
-                      ad.sum_all(ad.mul_const(deltas, w_deltas)))
-
-    ad.backward(forward())
-    assert pooled.grad is not None
-    numeric = finite_difference(lambda: forward().item(), pooled.data)
-    assert gradient_mismatch(pooled.grad, numeric) < 1e-4
+def test_head_forward_divides_each_roi_by_its_rms():
+    cfg = heads.HeadConfig(num_classes=4, roi_out=(1, 1), hidden=2)
+    params = heads.init_head_params(cfg, in_channels=2, rng=np.random.default_rng(16))
+    params["head.fc.weight"].data[...] = [[1.0, -1.0], [-1.0, 1.0]]  # zero biases
+    params["head.reg.weight"].data[...] = np.eye(2, 4)
+    # [3,-4] has RMS sqrt(12.5): hidden = relu([7, -7] / sqrt(12.5)), deltas its first unit
+    _, deltas = heads.head_forward(params, np.array([3.0, -4.0]).reshape(1, 2, 1, 1), cfg)
+    assert np.allclose(deltas.data[0], [7.0 / math.sqrt(12.5), 0.0, 0.0, 0.0])
 
 
 def test_head_forward_zero_weights_uniform(cfg):

@@ -441,12 +441,54 @@ def test_save_model_removes_heads_of_levels_it_lacks(tiny_setup, tmp_path):
 
 
 def test_loaded_model_maps_record_no_graph(tiny_setup, tmp_path):
-    # a loaded model's tables are frozen, and so are images: no op records
+    # no gradient reaches the shared map, so it leaves the trunk as a plain array
     model = pl.load_model(_saved_model(tiny_setup, tmp_path))
-    image = tiny_setup.view.images[0]
-    _, late = att.pseudo_boxes_batch([image], model.maen_params, model.config.backbone)[0]
+    image, bc = tiny_setup.view.images[0], model.config.backbone
+    _, late = att.pseudo_boxes_batch([image], model.maen_params, bc)[0]
     for fmap in (pl._trunk(image, model), late):
-        assert fmap._grad_fn is None and fmap._parents == () and not fmap.requires_grad
+        assert type(fmap) is np.ndarray
+        assert fmap.shape == (1, bc.stage_channels[-1], *bc.grid_size)
+
+
+@pytest.mark.parametrize("forward", ["stage_forward", "rpn_forward", "head_forward"])
+def test_frozen_inputs_reject_a_tensor(tiny_setup, forward):
+    # a gradient could not flow through a frozen input, so a Tensor there raises
+    model, cfg = tiny_setup.model, tiny_setup.config
+    bc, image = cfg.backbone, tiny_setup.view.images[0]
+    late = pl._trunk(image, model)
+    pooled = hd.roi_pool_batch(late[0], hd.roi_table(np.zeros((0, 4)), bc.input_size),
+                               bc.tap_stride("late"), cfg.head.roi_out)
+    array, call = {
+        "stage_forward": (image[None], lambda x: bb.stage_forward(model.maen_params, x, bc)),
+        "rpn_forward": (late, lambda x: rpn.rpn_forward(model.rpn_params, x, cfg.anchor)),
+        "head_forward": (pooled, lambda x: hd.head_forward(model.head_params["cam"], x, cfg.head)),
+    }[forward]
+    call(array)
+    with pytest.raises((TypeError, AttributeError), match="Tensor"):
+        call(ad.Tensor(array, requires_grad=True))
+
+
+def test_maen_pseudo_box_rejects_a_level_the_model_lacks(tiny_setup, monkeypatch):
+    passes = _trunk_passes(monkeypatch)
+    for level in ("mid", "bogus"):
+        with pytest.raises(ValueError, match=rf"level '{level}' is not one of the model's "
+                                             r"levels \('late', 'cam'\)"):
+            pl.maen_pseudo_box(tiny_setup.view.images[0], tiny_setup.model, level)
+    assert passes == []  # rejected before the classification-network pass
+
+
+@pytest.mark.parametrize("copies, problem", [(0, "missing"), (2, "repeated")])
+def test_load_model_rejects_a_config_without_every_key_once(tiny_setup, tmp_path, copies,
+                                                             problem):
+    # save_model writes every key once; a gap filled by a default can change the model
+    out = _saved_model(tiny_setup, tmp_path)
+    path = out / "model_config.txt"
+    lines = []
+    for line in path.read_text().splitlines():
+        lines += [line] * (copies if line.startswith(("tap_levels =", "nms_iou =")) else 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: key 'tap_levels' is {problem}"):
+        pl.load_model(out)
 
 
 def test_train_stagewise_keeps_only_a_prefix_of_stages(tiny_setup):

@@ -415,7 +415,7 @@ def test_rpn_forward_layout(cfg):
     params = rpn.init_rpn_params(4, cfg, np.random.default_rng(9))
     params["rpn.obj.weight"].data[...] = 0.0
     params["rpn.obj.bias"].data[...] = np.arange(18, dtype=np.float32)
-    fmap = Tensor(np.random.default_rng(10).normal(size=(1, 4, 3, 3)))
+    fmap = np.random.default_rng(10).normal(size=(1, 4, 3, 3))
     probs, deltas = rpn.rpn_forward(params, fmap, cfg)
     assert probs.shape == (81, 2) and deltas.shape == (81, 4)
     # zeroed objectness weights leave only the per-channel bias: row for anchor a
@@ -430,8 +430,8 @@ def test_rpn_forward_batch_rows_equal_single_image_passes(cfg):
     params = rpn.init_rpn_params(16, cfg, rng)
     maps = rng.normal(size=(5, 16, 8, 8)).astype(np.float32)
     maps[2] = 0.0
-    probs, deltas = rpn.rpn_forward(params, Tensor(maps), cfg)
-    singles = [rpn.rpn_forward(params, Tensor(maps[i : i + 1]), cfg) for i in range(5)]
+    probs, deltas = rpn.rpn_forward(params, maps, cfg)
+    singles = [rpn.rpn_forward(params, maps[i : i + 1], cfg) for i in range(5)]
     a = 8 * 8 * cfg.anchors_per_cell
     assert probs.shape == (5 * a, 2) and deltas.shape == (5 * a, 4)
     for i, (p, d) in enumerate(singles):
