@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wsdl import autodiff as ad
+from wsdl import backbone as bb
 from wsdl.autodiff import Tensor
 
 from oracles import (argmax_max_pool, conv2d_direct, conv2d_im2col, finite_difference,
@@ -609,6 +610,24 @@ def test_gradcheck_take_rows_and_plumbing():
         return ad.sum_all(ad.mul_const(y, weights))
 
     _check(build, params, 25)
+
+
+def test_center_mean_zero_for_constant_rows():
+    # stage_forward centres each image on its own mean before the first conv,
+    # so an image that is one constant enters as zeros, whatever the biases
+    cfg = bb.BackboneConfig(num_classes=4)
+    params = bb.init_maen_params(cfg, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for name, p in params.items():
+        if name.endswith(".bias"):
+            p.data[...] = rng.uniform(0.1, 1.0, size=p.shape)
+    fills = np.array([0.0, 0.3, 1.0, 0.7], np.float32)
+    images = np.broadcast_to(fills[:, None, None, None], (4, 3, 64, 64)).copy()
+    got = bb.stage_forward(params, images, cfg)
+    want = bb.stage_forward(params, np.zeros_like(images), cfg)
+    for g, w in zip(got, want, strict=True):
+        assert np.any(w.data != 0.0)
+        assert np.allclose(g.data, w.data, rtol=0.0, atol=1e-5)
 
 
 def test_gradcheck_transpose_reshape():
