@@ -12,10 +12,10 @@ tensors that no recorded operation produced; intermediate tensors keep
 ``.grad`` None. A graph lives as long as a reference to its output does, so
 a training step that drops its loss frees its whole graph. A recorded op
 keeps its inputs and outputs, not scratch buffers: ``conv2d`` rebuilds its
-im2col columns from its input in backward, so writing a recorded input in
-place before ``backward`` changes the gradients (only ``SGD.step`` writes
-``.data`` in place, after backward). Only the operation set needed by the
-localization pipeline is provided.
+im2col columns from its input in backward (and forms its input gradient one
+kernel tap at a time), so writing a recorded input in place before
+``backward`` changes the gradients (only ``SGD.step`` writes ``.data`` in
+place, after backward). Only the ops the pipeline needs are provided.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ def enable_buffer_reuse():
 
     glibc hands allocations above its mmap threshold straight back to the
     kernel on free, which makes every conv re-fault the megabytes of its
-    per-call scratch: the column buffers and the batched input-gradient
-    columns, none of which a graph retains. Raising the threshold (and the
-    trim threshold) lets the allocator recycle those blocks. No-op on
-    platforms without glibc; ``_fast_malloc_done`` turns True once both are raised.
+    per-call scratch: the column buffers, the padded input gradient and its
+    one-tap column buffer, none of which a graph retains. Raising the
+    threshold (and the trim threshold) lets the allocator recycle those
+    blocks. No-op without glibc; ``_fast_malloc_done`` is True once both are raised.
     """
     global _fast_malloc_done
     if _fast_malloc_done:
@@ -183,7 +183,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     A recorded conv keeps its input, not its columns: backward rebuilds each
     sample's columns from ``x.data`` for the weight gradient (recompute, not
     store: Chen et al. 2016), so writing ``x.data`` in place between forward
-    and ``backward`` changes the weight gradient.
+    and ``backward`` changes the weight gradient. The input gradient is col2im
+    one tap at a time: a ``(C, K) @ (K, Ho*Wo)`` GEMM into one [N,C,Ho*Wo]
+    buffer, then the oracle's whole-batch strided add, never all taps' columns.
     """
     if x.ndim != 4 or kernels.ndim != 4 or bias.ndim != 1:
         raise ShapeError(
@@ -227,11 +229,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
-            dcols = np.matmul(wflat.T, gflat).reshape(n, c, kh, kw, ho, wo)
+            # taps[t].T is F-contiguous like wflat.T, so BLAS keeps its transposed-A path
+            taps = np.ascontiguousarray(kernels.data.transpose(2, 3, 0, 1)).reshape(kh * kw, k, c)
+            dcols = np.empty((n, c, ho, wo), dtype=np.result_type(taps, gflat))
             gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
+            for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+                np.matmul(taps[t].T, gflat, out=dcols.reshape(n, c, ho * wo))
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols
             gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
         return gx, gk, gb
 

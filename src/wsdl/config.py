@@ -126,7 +126,8 @@ class RunConfig:
         return "".join(f"{key} = {_format_value(schema[key])}\n" for key in sorted(schema))
 
     def apply_text(self, text: str, source: str = "<config>") -> list:
-        """Set each ``key = value`` line of ``text``; returns the keys set, in order."""
+        """Set each ``key = value`` line of ``text``; returns the keys set, in
+        order. A repeated key raises, naming the first in schema order."""
         keys = []
         for line_no, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
@@ -143,6 +144,9 @@ class RunConfig:
             except ValueError as exc:
                 raise ValueError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
             keys.append(key)
+        for key in self.schema():
+            if keys.count(key) > 1:
+                raise ValueError(f"{source}: key {key!r} is repeated")
         return keys
 
 

@@ -21,7 +21,6 @@ bit the outputs of one image at a time.
 from __future__ import annotations
 
 import os
-from collections import Counter
 
 import numpy as np
 
@@ -412,10 +411,10 @@ def load_model(model_dir) -> TrainedModel:
     path = os.path.join(model_dir, "model_config.txt")
     config = RunConfig.default()
     with open(path, encoding="utf-8") as fh:
-        keys = Counter(config.apply_text(fh.read(), source=path))
+        keys = config.apply_text(fh.read(), source=path)
     for key in config.schema():
-        if keys[key] != 1:
-            raise ValueError(f"{path}: key {key!r} is {'missing' if not keys[key] else 'repeated'}")
+        if key not in keys:
+            raise ValueError(f"{path}: key {key!r} is missing")
     config.sync_derived()
     maen, dln, *heads = load_checkpoints(model_dir, config)
     return TrainedModel(maen, dln, dict(zip(config.backbone.tap_levels, heads)), config)

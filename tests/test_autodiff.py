@@ -218,6 +218,61 @@ def test_conv2d_retains_neither_columns_nor_padded_input():
     assert retained <= out.data.nbytes + 16 * 1024
 
 
+def test_conv2d_backward_holds_one_tap_of_input_gradient_columns():
+    rng = np.random.default_rng(24)
+    n, c, k, hw = 8, 16, 16, 16
+    x = t(rng.normal(size=(n, c, hw, hw)))
+    kernels = t(rng.normal(size=(k, c, 3, 3)))
+    b = t(rng.normal(size=k))
+
+    def backward_peak():
+        x.grad = kernels.grad = b.grad = None
+        loss = ad.sum_all(ad.conv2d(x, kernels, b, pad=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    backward_peak()  # warm-up: first-call allocations
+    peak = backward_peak()
+    item = x.data.itemsize
+    padded_grad = n * c * (hw + 2) ** 2 * item    # gxp
+    tap_columns = n * c * hw * hw * item          # one tap's [n, C, Ho*Wo] column gradient
+    sample_columns = c * 9 * hw * hw * item       # one sample's rebuilt columns
+    weight_scratch = n * k * c * 9 * item         # per-sample weight gradients
+    upstream = n * k * hw * hw * item             # the adjoint backward hands the conv
+    # 256 KiB covers numpy's strided-add buffers and small arrays; the
+    # whole-batch column gradient alone would be 9 taps, 2.4 MB
+    assert peak <= (padded_grad + tap_columns + sample_columns + weight_scratch + upstream
+                    + 256 * 1024)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("c,k,hw", [(16, 16, 16), (16, 32, 16), (32, 64, 8), (64, 64, 8),
+                                    (64, 128, 8)])
+def test_conv2d_bitwise_equals_pad_im2col_kernel_at_trunk_shapes(dtype, n, c, k, hw):
+    rng = np.random.default_rng(25)
+    for special in (False, True):
+        x = rng.normal(size=(n, c, hw, hw)).astype(dtype)
+        kernels = rng.normal(size=(k, c, 3, 3)).astype(dtype)
+        bias = rng.normal(size=k).astype(dtype)
+        g = rng.normal(size=(n, k, hw, hw)).astype(dtype)
+        if special:
+            x, g = _sprinkle(x, rng), _sprinkle(g, rng)
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kernels, bias))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+            out = ad.conv2d(xt, kt, bt, pad=1)
+            ad.backward(ad.sum_all(ad.mul_const(out, g)))
+            want = conv2d_im2col(x, kernels, bias, g, pad=1)
+        for got, ref in zip((out.data, xt.grad, kt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype == dtype, special
+            assert np.array_equal(_bits(got), _bits(ref)), special
+
+
 def test_conv2d_bias_dtype_promotes_as_out_of_place_add():
     rng = np.random.default_rng(22)
     x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)

@@ -290,6 +290,16 @@ def test_train_rejects_unknown_or_repeated_level(tmp_path, capsys, levels, error
     assert not out.exists()
 
 
+def test_train_rejects_a_config_that_repeats_a_key(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("tap_levels = late,cam\nseed = 3\ntap_levels = cam\n")
+    out = tmp_path / "model"
+    assert run(["train", "--data", str(tmp_path / "data"), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: key 'tap_levels' is repeated\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed = 3\nmystery_knob = 5\n")

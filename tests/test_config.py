@@ -67,8 +67,13 @@ def test_apply_text_errors():
         cfg.apply_text("seed = 3\nnot a line\n", source="cfg")
     with pytest.raises(KeyError):
         cfg.apply_text("who = knows\n", source="cfg")
-    assert cfg.apply_text("# comment\n\nseed = 9\nseed = 10\n", source="cfg") == ["seed", "seed"]
-    assert cfg.train.seed == 10
+    assert cfg.apply_text("# comment\n\nseed = 9\n", source="cfg") == ["seed"]
+    assert cfg.train.seed == 9
+    # a repeat is rejected, not last-wins; repeats are reported in schema order
+    with pytest.raises(ValueError, match="^cfg: key 'seed' is repeated$"):
+        cfg.apply_text("seed = 9\nseed = 10\n", source="cfg")
+    with pytest.raises(ValueError, match="^cfg: key 'train_count' is repeated$"):
+        cfg.apply_text("seed = 1\nseed = 2\ntrain_count = 5\ntrain_count = 6\n", source="cfg")
 
 
 def test_sync_derived_follows_backbone(tmp_path):
