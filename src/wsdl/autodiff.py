@@ -226,6 +226,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
             for s, cols in enumerate(_sample_columns(x.data, kh, kw, stride, pad, ho, wo)):
                 np.matmul(gflat[s], cols.T, out=per[s])
             gk = per.sum(axis=0).reshape(kernels.shape)
+            per = cols = None  # freed before the input gradient forms
         if bias.requires_grad:
             gb = g.sum(axis=(0, 2, 3))
         if x.requires_grad:

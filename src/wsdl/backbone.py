@@ -160,8 +160,8 @@ def params_to_checkpoint(params: dict, stage_tag: str) -> Checkpoint:
 
 
 def checkpoint_to_params(ckpt: Checkpoint) -> dict:
-    """Frozen copies of a checkpoint's tables: Tensors that take no gradient."""
-    return {name: Tensor(arr.copy()) for name, arr in ckpt.params.items()}
+    """Frozen views of a checkpoint's tables: gradient-free Tensors on its arrays."""
+    return {name: Tensor(arr) for name, arr in ckpt.params.items()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -220,6 +220,8 @@ def load_checkpoint(path) -> Checkpoint:
         off += nbytes
         if name.startswith(_STAGE_TAG_PREFIX):
             ckpt.stage_tag = name[len(_STAGE_TAG_PREFIX):]
+        elif not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         else:
             ckpt.params[name] = arr.copy()
     if off != len(data):

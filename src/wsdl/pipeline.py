@@ -261,14 +261,6 @@ def batches(items) -> list:
     return [items[start : start + BATCH] for start in range(0, len(items), BATCH)]
 
 
-def _refine_boxes(deltas: np.ndarray, proposals: np.ndarray, image_size) -> list:
-    """The ``Box`` of each [4] proposal row moved by its head's deltas, decoded in one call."""
-    decoded = rpn.decode_boxes(deltas, proposals, image_size)
-    collapsed = (decoded[:, 2] - decoded[:, 0] <= 0) | (decoded[:, 3] - decoded[:, 1] <= 0)
-    # a refinement collapsed under clipping keeps its proposal
-    return [att.Box(*(p if c else d)) for d, p, c in zip(decoded, proposals, collapsed)]
-
-
 def _trunk(image, model: TrainedModel) -> np.ndarray:
     """The last stage output of one image, a [1,C,h,w] array."""
     return bb.stage_forward(model.maen_params, np.asarray(image)[None],
@@ -291,18 +283,18 @@ def _infer(model: TrainedModel, groups) -> list:
     """One prediction per image of a batch. ``groups`` holds, per image, its
     (levels, last stage output as a [1,C,h,w] array) passes, which cover
     ``model.levels`` in order. Each map gets its own proposals
-    (``_proposals``), pooled RoIs and the heads of its levels, and each image
-    its own refined boxes and fused scores."""
+    (``_proposals``), pooled RoIs and the heads of its levels; each level
+    decodes only its chosen row, and each image gets its fused scores."""
     bc, hc = model.config.backbone, model.config.head
     image_size = bc.input_size
     stride = bc.tap_stride("late")
     lates = [late for passes in groups for _, late in passes]
-    per_map = zip(lates, _proposals(model.rpn_params, lates, model.anchors, model.config))
+    per_map = iter(_proposals(model.rpn_params, lates, model.anchors, model.config))
     predictions = []
     for passes in groups:
-        scores, chosen_deltas, chosen_proposals, fulls = {}, [], [], []
-        for levels, _ in passes:
-            late, proposals = next(per_map)
+        per_level, fulls = {}, []
+        for levels, late in passes:
+            proposals = next(per_map)
             if not len(proposals):
                 proposals = hd.roi_table(proposals, image_size)
             rois = hd.roi_table(proposals, image_size)
@@ -311,18 +303,16 @@ def _infer(model: TrainedModel, groups) -> list:
                 scores_t, deltas_t = hd.head_forward(model.head_params[level], pooled, hc)
                 s = scores_t.data
                 r = int(np.argmax(1.0 - s[: len(proposals), hc.background]))
-                scores[level] = hd.renormalize_foreground(s[r], hc.num_classes)
-                chosen_deltas.append(deltas_t.data[r])
-                chosen_proposals.append(proposals[r])
+                box = rpn.decode_boxes(deltas_t.data[[r]], proposals[[r]], image_size)[0]
+                if box[2] - box[0] <= 0 or box[3] - box[1] <= 0:
+                    box = proposals[r]  # a refinement collapsed under clipping keeps its proposal
+                per_level[level] = hd.LevelPrediction(
+                    box=att.Box(*box), scores=hd.renormalize_foreground(s[r], hc.num_classes))
                 fulls.append(hd.renormalize_foreground(s[-1], hc.num_classes))
-        boxes = dict(zip(scores, _refine_boxes(np.stack(chosen_deltas),
-                                               np.stack(chosen_proposals), image_size)))
         full_image_scores = np.mean(fulls, axis=0)
-        fused, cls = hd.fuse_scores([scores[level] for level in model.levels], full_image_scores)
-        predictions.append(hd.Prediction(
-            per_level={level: hd.LevelPrediction(box=boxes[level], scores=scores[level])
-                       for level in model.levels},
-            full_image_scores=full_image_scores, fused=fused, predicted_class=cls))
+        fused, cls = hd.fuse_scores([p.scores for p in per_level.values()], full_image_scores)
+        predictions.append(hd.Prediction(per_level=per_level, full_image_scores=full_image_scores,
+                                         fused=fused, predicted_class=cls))
     return predictions
 
 

@@ -262,6 +262,21 @@ def test_exit_codes(cli_pipeline, tmp_path):
                 "--out", str(tmp_path / "r2")]) == 2
 
 
+def test_eval_rejects_a_checkpoint_with_non_finite_values(cli_pipeline, tmp_path, capsys):
+    _, data, model = cli_pipeline
+    bad = tmp_path / "nan-head"
+    shutil.copytree(model, bad)
+    head = bb.load_checkpoint(bad / "head_cam.ckpt")
+    head.params["head.cls.weight"][0] = np.nan
+    bb.save_checkpoint(head, bad / "head_cam.ckpt")
+    capsys.readouterr()
+    assert run(["eval", "--data", str(data), "--model", str(bad),
+                "--out", str(tmp_path / "r")]) == 2
+    assert (f"{bad / 'head_cam.ckpt'}: parameter 'head.cls.weight' holds non-finite values"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r").exists()
+
+
 def test_model_commands_reject_configuration_flags(cli_pipeline, tmp_path, cli_cfg, capsys):
     # infer, eval and bench run the model's saved configuration; a flag that
     # would change it is a usage error, not silently ignored

@@ -349,11 +349,8 @@ def test_infer_deterministic(tiny_setup):
 def test_infer_separate_matches_shared(tiny_setup, monkeypatch):
     model = tiny_setup.model
     test_view = sd.TrainView(os.path.join(tiny_setup.data, "test"))
-    for img in test_view.images[:4]:
-        a = pl.infer(img, model)
-        b = pl.infer_separate(img, model)
-        assert np.allclose(a.fused, b.fused)
-        assert a.predicted_class == b.predicted_class
+    for img in test_view.images:  # one trunk pass per level computes the same map bit for bit
+        _assert_same_prediction(pl.infer_separate(img, model), pl.infer(img, model))
     passes = _trunk_passes(monkeypatch)
     pl.infer_separate(test_view.images[0], model)
     assert len(passes) == len(model.levels)
@@ -378,6 +375,34 @@ def test_boxes_are_built_only_for_predictions(tiny_setup, monkeypatch):
                                cfg.backbone.input_size)
     assert len(proposals) and rois.shape[1] == 4
     assert built == []
+
+
+def test_a_refinement_collapsed_under_clipping_keeps_its_proposal(tiny_setup, monkeypatch):
+    model, bg = tiny_setup.model, tiny_setup.config.head.background
+    img = sd.TrainView(os.path.join(tiny_setup.data, "test")).images[0]
+    real_pool, real_head = hd.roi_pool_batch, hd.head_forward
+    tables, picked = [], []
+
+    def roi_pool_batch(features, rois, *rest):
+        tables.append(rois)
+        return real_pool(features, rois, *rest)
+
+    def head_forward(params, pooled, config):
+        scores, deltas = real_head(params, pooled, config)
+        # the last RoI is the whole image; the head picks among the proposals before it
+        rois = tables[-1]
+        picked.append(Box(*rois[int(np.argmax(1.0 - scores.data[:-1, bg]))]))
+        squashed = deltas.data.copy()
+        squashed[:, 2:] = -800.0  # exp(-800) is 0: every refined box has zero extent
+        return scores, ad.Tensor(squashed)
+
+    monkeypatch.setattr(hd, "roi_pool_batch", roi_pool_batch)
+    monkeypatch.setattr(hd, "head_forward", head_forward)
+    for run in (pl.infer, pl.infer_separate):
+        picked.clear()
+        pred = run(img, model)
+        assert len(picked) == len(model.levels)
+        assert [pred.per_level[level].box for level in model.levels] == picked
 
 
 def test_single_level_reduces_to_region_plus_full_image(tmp_path, monkeypatch):
@@ -488,6 +513,21 @@ def test_load_model_rejects_a_config_without_every_key_once(tiny_setup, tmp_path
         lines += [line] * (copies if line.startswith(("tap_levels =", "nms_iou =")) else 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: key 'tap_levels' is {problem}"):
+        pl.load_model(out)
+
+
+@pytest.mark.parametrize("name, param, value", [("maen.ckpt", "cam.fc.weight", np.nan),
+                                                 ("dln.ckpt", "rpn.obj.weight", np.inf),
+                                                 ("head_cam.ckpt", "head.cls.weight", -np.inf)])
+def test_load_model_rejects_a_checkpoint_with_non_finite_values(tiny_setup, tmp_path, name,
+                                                                param, value):
+    # a NaN head gives NaN scores, a NaN proposal network no proposals: both quietly wrong
+    out = _saved_model(tiny_setup, tmp_path)
+    ckpt = bb.load_checkpoint(out / name)
+    ckpt.params[param][1] = value
+    bb.save_checkpoint(ckpt, out / name)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(out / name))}: parameter "
+                                         rf"'{re.escape(param)}' holds non-finite values"):
         pl.load_model(out)
 
 
