@@ -11,11 +11,13 @@ accumulates adjoints additively into the ``.grad`` of its leaves, the
 tensors that no recorded operation produced; intermediate tensors keep
 ``.grad`` None. A graph lives as long as a reference to its output does, so
 a training step that drops its loss frees its whole graph. A recorded op
-keeps its inputs and outputs, not scratch buffers: ``conv2d`` rebuilds its
+keeps its inputs and its output, not scratch buffers: ``conv2d`` rebuilds its
 im2col columns from its input in backward (and forms its input gradient one
-kernel tap at a time), so writing a recorded input in place before
-``backward`` changes the gradients (only ``SGD.step`` writes ``.data`` in
-place, after backward). Only the ops the pipeline needs are provided.
+kernel tap at a time), and ``conv2d_relu`` rectifies the conv output in
+place, so writing a recorded input or output in place before ``backward``
+changes the gradients (only ``SGD.step`` writes ``.data`` in place, after
+backward). ``backward`` gives each closure the only reference to its
+adjoint, freed once spent. Only the ops the pipeline needs are provided.
 """
 
 from __future__ import annotations
@@ -137,16 +139,17 @@ def backward(loss: Tensor):
 
     adjoint = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = adjoint.pop(id(node), None)
-        if g is None:
+        if id(node) not in adjoint:
             continue
         if node._grad_fn is not None:
-            for parent, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None:
-                    continue
-                pid = id(parent)
-                adjoint[pid] = adjoint[pid] + pg if pid in adjoint else pg
+            # the closure gets the only reference to its adjoint, so it can free it once spent
+            for parent, pg in zip(node._parents, node._grad_fn(adjoint.pop(id(node)))):
+                if pg is not None:
+                    pid = id(parent)
+                    adjoint[pid] = adjoint[pid] + pg if pid in adjoint else pg
+            pg = None  # the next closure's adjoint may be this last one
         elif node.requires_grad:
+            g = adjoint.pop(id(node))
             node.grad = _owned(g) if node.grad is None else node.grad + g
 
 
@@ -180,10 +183,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     matrix (copied only when ``x`` is not C-contiguous). The bias is added in
     place to the GEMM output. Outputs and gradients are bit for bit those of
     the ``np.pad`` im2col kernel (``conv2d_im2col`` in the test oracles).
-    A recorded conv keeps its input, not its columns: backward rebuilds each
-    sample's columns from ``x.data`` for the weight gradient (recompute, not
-    store: Chen et al. 2016), so writing ``x.data`` in place between forward
-    and ``backward`` changes the weight gradient. The input gradient is col2im
+    A recorded conv keeps its input, not its columns or its output, which
+    ``conv2d_relu`` rectifies in place: backward rebuilds each sample's
+    columns from ``x.data`` for the weight gradient (recompute, not store:
+    Chen et al. 2016), so writing ``x.data`` in place between forward and
+    ``backward`` changes the weight gradient. The input gradient is col2im
     one tap at a time: a ``(C, K) @ (K, Ho*Wo)`` GEMM into one [N,C,Ho*Wo]
     buffer, then the oracle's whole-batch strided add, never all taps' columns.
     """
@@ -243,11 +247,26 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     return _make(out, (x, kernels, bias), grad_fn)
 
 
+def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """``relu(conv2d(...))`` bit for bit, recorded as one op that keeps one array:
+    the conv output, rectified in place. Backward recomputes the relu mask as
+    ``y > 0``, which is ``pre > 0`` (in-place activation, Rota Bulo et al. 2018)."""
+    conv = conv2d(x, kernels, bias, stride, pad)
+    y = np.maximum(conv.data, 0.0, out=conv.data)
+    conv_grad = conv._grad_fn
+
+    def grad_fn(g):
+        g = np.multiply(g, y > 0)  # drops the incoming adjoint before the conv's backward
+        return conv_grad(g)
+
+    return _make(y, (x, kernels, bias), grad_fn)
+
+
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0.0)
 
     def grad_fn(g):
-        return ((x.data > 0).astype(g.dtype) * g,)
+        return (np.multiply(g, x.data > 0),)
 
     return _make(y, (x,), grad_fn)
 

@@ -128,8 +128,8 @@ def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> l
     outputs = []
     for s in range(len(config.stage_channels)):
         for j in range(config.convs_per_stage):
-            x = ad.relu(ad.conv2d(x, params[f"stages.{s}.conv{j}.weight"],
-                                  params[f"stages.{s}.conv{j}.bias"], stride=1, pad=1))
+            x = ad.conv2d_relu(x, params[f"stages.{s}.conv{j}.weight"],
+                               params[f"stages.{s}.conv{j}.bias"], stride=1, pad=1)
         x = ad.max_pool2d(x)
         outputs.append(x)
     return outputs
@@ -138,8 +138,8 @@ def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> l
 def maen_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> tuple:
     """Classification-network forward: ``(stage_outputs, cam_map, cam_logits)``."""
     stage_outputs = stage_forward(params, images, config)
-    cam_map = ad.relu(ad.conv2d(stage_outputs[-1], params["cam.conv.weight"],
-                                params["cam.conv.bias"], stride=1, pad=1))
+    cam_map = ad.conv2d_relu(stage_outputs[-1], params["cam.conv.weight"],
+                             params["cam.conv.bias"], stride=1, pad=1)
     pooled = ad.global_avg_pool(cam_map)
     return stage_outputs, cam_map, ad.linear(pooled, params["cam.fc.weight"], params["cam.fc.bias"])
 

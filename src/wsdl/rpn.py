@@ -322,8 +322,8 @@ def rpn_forward(params: dict, shared_map: np.ndarray, config: AnchorConfig):
     """
     n, _, h, w = shared_map.shape
     k = config.anchors_per_cell
-    trunk = ad.relu(ad.conv2d(Tensor(shared_map), params["rpn.conv.weight"],
-                              params["rpn.conv.bias"], stride=1, pad=1))
+    trunk = ad.conv2d_relu(Tensor(shared_map), params["rpn.conv.weight"],
+                           params["rpn.conv.bias"], stride=1, pad=1)
     obj = ad.conv2d(trunk, params["rpn.obj.weight"], params["rpn.obj.bias"])
     reg = ad.conv2d(trunk, params["rpn.reg.weight"], params["rpn.reg.bias"])
     obj_logits = ad.reshape(ad.transpose(obj, (0, 2, 3, 1)), (n * h * w * k, 2))

@@ -250,6 +250,102 @@ def test_conv2d_backward_holds_one_tap_of_input_gradient_columns():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3)])
+def test_conv2d_relu_bitwise_equals_relu_of_conv2d(dtype, kh, kw):
+    rng = np.random.default_rng(26)
+    for pad in (0, 1, 2):
+        for stride in (1, 2):
+            for layout in ("contiguous", "view", "special"):
+                x, kernels, bias = _conv_inputs(rng, 3, dtype, kh, kw, layout)
+                x_before = x.copy()
+                case = (pad, stride, layout)
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+                    frozen = ad.conv2d_relu(Tensor(x), Tensor(kernels), Tensor(bias), stride, pad)
+                    assert frozen._grad_fn is None and frozen._parents == (), case
+                    assert not frozen.requires_grad, case
+                    g = _sprinkle(rng.normal(size=frozen.shape), rng).astype(dtype)
+                    runs = []
+                    for fused in (False, True):
+                        leaves = [Tensor(a, requires_grad=True) for a in (x, kernels, bias)]
+                        if fused:
+                            out = ad.conv2d_relu(*leaves, stride, pad)
+                        else:
+                            out = ad.relu(ad.conv2d(*leaves, stride=stride, pad=pad))
+                        loss = ad.sum_all(ad.mul_const(out, g))
+                        ad.backward(loss)
+                        first = [p.grad.copy() for p in leaves]
+                        ad.backward(loss)  # a second pass doubles every leaf gradient
+                        for p, once in zip(leaves, first):
+                            assert np.array_equal(_bits(p.grad), _bits(once + once)), case
+                        runs.append([out.data] + first)
+                for got, ref in zip(runs[1], runs[0]):
+                    assert got.dtype == ref.dtype == dtype, case
+                    assert np.array_equal(_bits(got), _bits(ref)), case
+                assert np.array_equal(_bits(frozen.data), _bits(runs[0][0])), case
+                assert np.array_equal(_bits(x), _bits(x_before)), case
+                assert not np.shares_memory(frozen.data, x), case
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_masks_special_values_bitwise(dtype):
+    rng = np.random.default_rng(28)
+    x = _sprinkle(rng.normal(size=(4, 5, 6)), rng).astype(dtype)
+    g = _sprinkle(rng.normal(size=x.shape), rng).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        ad.backward(ad.sum_all(ad.mul_const(ad.relu(xt), g)))
+        want = (x > 0).astype(dtype) * g  # the float 0/1 mask, multiplied out
+    assert xt.grad.dtype == dtype
+    assert np.array_equal(_bits(xt.grad), _bits(want))
+
+
+def test_conv2d_relu_retains_only_its_output():
+    rng = np.random.default_rng(29)
+    x = t(rng.normal(size=(2, 8, 32, 32)))
+    k = t(rng.normal(size=(4, 8, 3, 3)))
+    b = t(rng.normal(size=4))
+    ad.conv2d_relu(x, k, b, pad=1)  # warm-up: first-call allocations are not retained by the op
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d_relu(x, k, b, pad=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # relu(conv2d(...)) would keep the conv output as well as the relu output
+    assert retained <= out.data.nbytes + 16 * 1024
+
+
+def test_conv2d_relu_pool_backward_frees_each_adjoint_once_spent():
+    rng = np.random.default_rng(30)
+    n, c, k, hw = 8, 16, 16, 32
+    x = t(rng.normal(size=(n, c, hw, hw)))
+    kernels = t(rng.normal(size=(k, c, 3, 3)))
+    b = t(rng.normal(size=k))
+
+    def backward_peak():
+        x.grad = kernels.grad = b.grad = None
+        loss = ad.sum_all(ad.max_pool2d(ad.conv2d_relu(x, kernels, b, pad=1)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    backward_peak()  # warm-up: first-call allocations
+    peak = backward_peak()
+    item = x.data.itemsize
+    padded_grad = n * c * (hw + 2) ** 2 * item    # gxp
+    tap_columns = n * c * hw * hw * item          # one tap's [n, C, Ho*Wo] column gradient
+    upstream = n * k * hw * hw * item             # the masked adjoint the conv's backward reads
+    # the pool's adjoint to the conv (1 MiB) must be gone once it is masked:
+    # a reference to it left in backward's loop pushes the peak over the bound
+    assert peak <= padded_grad + tap_columns + upstream + 256 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("c,k,hw", [(16, 16, 16), (16, 32, 16), (32, 64, 8), (64, 64, 8),
                                     (64, 128, 8)])
