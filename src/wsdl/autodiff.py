@@ -13,11 +13,13 @@ tensors that no recorded operation produced; intermediate tensors keep
 a training step that drops its loss frees its whole graph. A recorded op
 keeps its inputs and its output, not scratch buffers: ``conv2d`` rebuilds its
 im2col columns from its input in backward (and forms its input gradient one
-kernel tap at a time), and ``conv2d_relu`` rectifies the conv output in
-place, so writing a recorded input or output in place before ``backward``
-changes the gradients (only ``SGD.step`` writes ``.data`` in place, after
-backward). ``backward`` gives each closure the only reference to its
-adjoint, freed once spent. Only the ops the pipeline needs are provided.
+kernel tap at a time), ``conv2d_relu`` rectifies the conv output in place,
+and ``conv2d_relu_pool`` keeps its pooled output and one uint8 switch code
+per pooled element instead of the full-resolution map. So writing a recorded
+input or output in place before ``backward`` changes the gradients (only
+``SGD.step`` writes ``.data`` in place, after backward). ``backward`` gives
+each closure the only reference to its adjoint, freed once spent. Only the
+ops the pipeline needs are provided.
 """
 
 from __future__ import annotations
@@ -248,9 +250,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
 
 
 def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """``relu(conv2d(...))`` bit for bit, recorded as one op that keeps one array:
-    the conv output, rectified in place. Backward recomputes the relu mask as
-    ``y > 0``, which is ``pre > 0`` (in-place activation, Rota Bulo et al. 2018)."""
+    """``relu(conv2d(...))`` bit for bit, recorded as one op that keeps one array: the
+    conv output, rectified in place (``conv2d_relu_pool`` keeps only its pooled form).
+    Backward's relu mask ``y > 0`` is ``pre > 0`` (in-place activation, Rota Bulo 2018)."""
     conv = conv2d(x, kernels, bias, stride, pad)
     y = np.maximum(conv.data, 0.0, out=conv.data)
     conv_grad = conv._grad_fn
@@ -260,6 +262,31 @@ def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: 
         return conv_grad(g)
 
     return _make(y, (x, kernels, bias), grad_fn)
+
+
+def conv2d_relu_pool(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
+                     pad: int = 0) -> Tensor:
+    """``max_pool2d(conv2d_relu(...))`` bit for bit, recorded as one op that keeps
+    its pooled output and one uint8 switch code per pooled element (Zeiler &
+    Fergus 2014), formed only when a gradient is required, not the full map.
+    Bits 0-3 mark the window's first max, bit 4 whether it is > 0 (relu)."""
+    conv = conv2d(x, kernels, bias, stride, pad)
+    y = np.maximum(conv.data, 0.0, out=conv.data)
+    pooled = _window_max(y)
+    conv_grad, shape = conv._grad_fn, y.shape
+    if conv_grad is None:  # no input requires a gradient
+        return Tensor(pooled)
+    codes = np.left_shift(pooled > 0, 4, dtype=np.uint8)
+    for k, hit in enumerate(_first_max(y, pooled)):
+        codes |= np.left_shift(hit, k, dtype=np.uint8)
+
+    def grad_fn(g):
+        g = np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16)  # bit 4: the relu mask
+        gx = _scatter(g, ((codes >> k) & 1 for k in range(4)), shape)
+        del g  # freed before the conv's backward
+        return conv_grad(gx)
+
+    return _make(pooled, (x, kernels, bias), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -276,44 +303,56 @@ _WINDOW = (np.s_[:, :, ::2, ::2], np.s_[:, :, ::2, 1::2],
            np.s_[:, :, 1::2, ::2], np.s_[:, :, 1::2, 1::2])
 
 
-def max_pool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2.
-
-    Forward: the elementwise max of the four stride-2 views, which is each
-    window's first max in row-major order, bit for bit: of tied signed zeros
-    the first one's sign is kept. A window that holds a NaN pools to NaN,
-    with the bits of one of its NaNs. Backward: each window's gradient goes
-    whole to that first max (to the first NaN in a NaN window); the other
-    three elements get +0.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects [N,C,H,W], got {x.shape}")
-    h, w = x.shape[2:]
+def _window_max(xd: np.ndarray) -> np.ndarray:
+    """The 2x2 windows' first maxima, as ``max_pool2d`` defines them."""
+    h, w = xd.shape[2:]
     if h % 2 or w % 2:
-        raise ShapeError(f"max_pool2d needs even extents, got {h}x{w}")
-    xd = x.data
+        raise ShapeError(f"2x2 max pooling needs even extents, got {h}x{w}")
     # np.maximum returns its second operand on a tie, so folding from the last
     # view to the first keeps the earliest of tied signed zeros
     y = np.maximum(xd[_WINDOW[3]], xd[_WINDOW[2]])
     np.maximum(y, xd[_WINDOW[1]], out=y)
     np.maximum(y, xd[_WINDOW[0]], out=y)
+    return y
+
+
+def _first_max(xd: np.ndarray, y: np.ndarray):
+    """Yield one mask per ``_WINDOW`` view, marking the windows whose first max
+    under ``_window_max`` (first NaN in a NaN window) is that view's element."""
+    free = np.ones(y.shape, dtype=bool)  # windows whose first max is still ahead
+    for view in _WINDOW:
+        hit = (xd[view] == y) | np.isnan(xd[view])
+        hit &= free
+        free ^= hit
+        yield hit
+
+
+def _scatter(g: np.ndarray, hits, shape) -> np.ndarray:
+    """An array of ``shape`` with each window's gradient bits where ``hits`` (a
+    0/1 mask per view) marks, zero bits elsewhere: an integer multiply by the
+    mask is exact even for non-finite gradients, where a float select is
+    several times slower."""
+    gx = np.empty(shape, dtype=g.dtype)
+    uint = np.dtype(f"u{gx.itemsize}")
+    for view, hit in zip(_WINDOW, hits):
+        np.multiply(g.view(uint), hit, out=gx.view(uint)[view])
+    return gx
+
+
+def max_pool2d(x: Tensor) -> Tensor:
+    """2x2 max pooling with stride 2: the elementwise max of the four stride-2
+    views, which is each window's first max in row-major order, bit for bit (of
+    tied signed zeros the first one's sign; a window that holds a NaN pools to
+    the bits of one of its NaNs). Backward sends each window's gradient whole
+    to that first max (the first NaN in a NaN window), +0 to the other three.
+    A recorded pool keeps its input; ``conv2d_relu_pool`` keeps switch codes."""
+    if x.ndim != 4:
+        raise ShapeError(f"max_pool2d expects [N,C,H,W], got {x.shape}")
+    xd = x.data
+    y = _window_max(xd)
 
     def grad_fn(g):
-        # copy each window's gradient bits into its first max and zero bits
-        # elsewhere: an integer multiply by the 0/1 mask is exact even for
-        # non-finite gradients, where a float select would be several times slower
-        uint = np.dtype(f"u{xd.itemsize}")
-        gbits = np.asarray(g, dtype=xd.dtype).view(uint)
-        gx = np.empty_like(xd)
-        gx_bits = gx.view(uint)
-        free = np.ones(y.shape, dtype=bool)  # windows whose first max is still ahead
-        for view in _WINDOW:
-            v = xd[view]
-            hit = (v == y) | np.isnan(v)
-            hit &= free
-            free ^= hit
-            np.multiply(gbits, hit, out=gx_bits[view])
-        return (gx,)
+        return (_scatter(np.asarray(g, dtype=xd.dtype), _first_max(xd, y), xd.shape),)
 
     return _make(y, (x,), grad_fn)
 

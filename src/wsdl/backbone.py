@@ -128,9 +128,9 @@ def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> l
     outputs = []
     for s in range(len(config.stage_channels)):
         for j in range(config.convs_per_stage):
-            x = ad.conv2d_relu(x, params[f"stages.{s}.conv{j}.weight"],
-                               params[f"stages.{s}.conv{j}.bias"], stride=1, pad=1)
-        x = ad.max_pool2d(x)
+            op = ad.conv2d_relu_pool if j == config.convs_per_stage - 1 else ad.conv2d_relu
+            x = op(x, params[f"stages.{s}.conv{j}.weight"],
+                   params[f"stages.{s}.conv{j}.bias"], stride=1, pad=1)
         outputs.append(x)
     return outputs
 

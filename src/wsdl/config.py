@@ -9,6 +9,7 @@ the heads. Unknown keys are rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .backbone import BackboneConfig
@@ -52,7 +53,10 @@ def _parse_like(template, raw: str):
     if isinstance(template, int):
         return int(raw)
     if isinstance(template, float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     if isinstance(template, tuple):
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if not parts:
@@ -154,5 +158,8 @@ def load_run_config(path) -> RunConfig:
     cfg = RunConfig.default()
     with open(path, encoding="utf-8") as fh:
         cfg.apply_text(fh.read(), source=str(path))
-    cfg.sync_derived()
+    try:
+        cfg.sync_derived()
+    except ValueError as exc:  # a check across keys, or within one, such as anchor scales
+        raise ValueError(f"{path}: {exc}") from exc
     return cfg

@@ -167,14 +167,15 @@ def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
     """Stage 1: the attention-extraction classifier on image-level labels."""
     tc, bc = config.train, config.backbone
     _check_view(view, config)
-    images, labels = np.stack(view.images), view.labels
     params = bb.init_maen_params(bc, _rng(config, _S_INIT_MAEN))
     opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
 
     def steps(perm):
         for start in range(0, len(perm), tc.batch_maen):
             idx = perm[start : start + tc.batch_maen]
-            yield _maen_step(params, opt, images[idx], labels[idx], bc)
+            # stacked per batch, not from a stacked copy of the whole split
+            yield _maen_step(params, opt, np.stack([view.images[i] for i in idx]),
+                             view.labels[idx], bc)
 
     _epochs("maen", config, [opt], steps, len(view), log_fn)
     return bb.params_to_checkpoint(params, "maen")

@@ -37,6 +37,9 @@ class AnchorConfig:
     def __post_init__(self):
         self.scales = tuple(float(s) for s in self.scales)
         self.ratios = tuple(float(r) for r in self.ratios)
+        for key in ("scales", "ratios"):
+            if not all(v > 0 for v in getattr(self, key)):  # a NaN fails it too
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if len(self.scales) * len(self.ratios) != 9:
             raise ValueError(
                 f"expected 9 anchors from 3 scales x 3 ratios, got "

@@ -140,8 +140,47 @@ def test_recorded_forward_holds_only_its_tensors(cfg, params):
     assert logits.requires_grad
     roots = [logits, *stage_outputs, cam_map]
     tensors = _held_buffer_bytes(roots, [images] + [p.data for p in params.values()])
-    # 64 KiB covers the Tensor objects and closures; no op keeps a buffer of its own
-    assert held <= tensors + 64 * 1024
+    # each stage's fused conv-relu-pool keeps one uint8 switch code per pooled element
+    codes = sum(out.data.size for out in stage_outputs)
+    # 64 KiB covers the Tensor objects and closures; no op keeps another buffer of its own
+    assert held <= tensors + codes + 64 * 1024
+    # a trunk that kept each stage's full-resolution conv output for a separate
+    # max-pool held 4.47 MB here
+    assert held <= 3 * 2**20
+
+
+def _reachable_arrays(roots) -> list:
+    """One array per buffer that the graphs of ``roots`` keep alive: the tensors'
+    ``.data`` and the arrays their gradient closures capture, nested ones too."""
+    arrays, seen, stack = {}, set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            buf = obj
+            while isinstance(buf.base, np.ndarray):
+                buf = buf.base
+            arrays[id(buf)] = obj  # one per buffer, in the shape the graph uses
+        elif isinstance(obj, ad.Tensor):
+            stack.extend([obj.data, obj._grad_fn, *obj._parents])
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(arrays.values())
+
+
+@pytest.mark.parametrize("convs_per_stage", [1, 2])
+def test_recorded_stage_forward_keeps_no_full_resolution_map_for_its_pool(convs_per_stage):
+    cfg = bb.BackboneConfig(num_classes=4, convs_per_stage=convs_per_stage)
+    params = bb.init_stage_params(cfg, np.random.default_rng(1))
+    outputs = bb.stage_forward(params, _image_batch(2), cfg)
+    arrays = _reachable_arrays(outputs)
+    for out in outputs:
+        n, c, h, w = out.shape
+        full = [a for a in arrays if a.shape == (n, c, 2 * h, 2 * w)]
+        # only the stage's earlier convs keep their maps; the last one pooled it away
+        assert len(full) == convs_per_stage - 1, out.shape
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,21 @@ def test_train_rejects_a_config_that_repeats_a_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, error", [
+    ("seed = 3\ndecay_factor = inf\n", ":2: bad value for 'decay_factor': expected a finite "
+                                        "number, got 'inf'"),
+    ("scales = 0,32,48\n", ": scales must be positive, got (0.0, 32.0, 48.0)"),
+])
+def test_train_rejects_a_config_value_that_would_fail_late(tmp_path, capsys, text, error):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "model"
+    assert run(["train", "--data", str(tmp_path / "data"), "--out", str(out),
+                "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}{error}\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed = 3\nmystery_knob = 5\n")

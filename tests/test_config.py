@@ -76,6 +76,36 @@ def test_apply_text_errors():
         cfg.apply_text("seed = 1\nseed = 2\ntrain_count = 5\ntrain_count = 6\n", source="cfg")
 
 
+@pytest.mark.parametrize("key", ["learning_rate", "momentum", "weight_decay", "decay_factor",
+                                 "loss_balance"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+def test_apply_text_rejects_non_finite_floats(key, raw):
+    # decay_factor = inf failed only at the decay epoch, as a zero learning rate
+    cfg = RunConfig.default()
+    with pytest.raises(ValueError, match=re.escape(
+            f"cfg:2: bad value for '{key}': expected a finite number, got '{raw}'")):
+        cfg.apply_text(f"seed = 3\n{key} = {raw}\n", source="cfg")
+
+
+@pytest.mark.parametrize("key, raw", [("scales", "nan,32,48"), ("ratios", "0.5,1,inf"),
+                                      ("object_fraction", "0.1,nan")])
+def test_apply_text_rejects_non_finite_tuple_elements(key, raw):
+    cfg = RunConfig.default()
+    error = f"cfg:1: bad value for '{key}': expected a finite number"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        cfg.apply_text(f"{key} = {raw}\n", source="cfg")
+
+
+@pytest.mark.parametrize("key, raw", [("scales", "0,32,48"), ("scales", "16,-32,48"),
+                                      ("ratios", "0.5,0,2")])
+def test_anchor_scales_and_ratios_must_be_positive(tmp_path, key, raw):
+    # scales = 0,32,48 gave 192 zero-width anchors and failed only in stage 3
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} must be positive, got (")):
+        load_run_config(path)
+
+
 def test_sync_derived_follows_backbone(tmp_path):
     cfg = RunConfig.default()
     cfg.set_key("stage_channels", "8,16")
