@@ -6,8 +6,8 @@ class, every other level takes the plain channel mean. The map is min-max
 normalized, thresholded with OTSU, and the tight box around the largest
 4-connected foreground component becomes that level's pseudo box in image
 coordinates. Degenerate maps fall back to the whole-image box. Everything
-here is a plain array: ``attention_map`` gives a float64 [h,w] map,
-``binarize`` bool masks and their thresholds, and ``component_boxes`` an
+here is a plain array: ``attention_map`` gives a float64 [h,w] map, ``binarize``
+a level's [M,h,w] bool mask stack and its thresholds, and ``component_boxes`` an
 [M,4] table in grid cells, which the level's ``tap_stride`` scales to pixels.
 """
 
@@ -73,47 +73,45 @@ def attention_map(features: np.ndarray, class_weights: np.ndarray | None = None)
 
 
 def binarize(maps) -> tuple:
-    """OTSU-threshold every map of ``maps`` in one pass: ``(masks, thresholds)``,
-    a bool mask of the map's shape and a float threshold in normalized units
-    per map, the threshold None for a constant map.
+    """OTSU-threshold each map of an [M,...] stack of same-shape maps in one
+    pass: ``(masks, thresholds)``, an [M,...] bool mask stack and a list of M
+    float thresholds in normalized units, None for a constant map.
 
-    Each map (any shape, at least one cell) is min-max normalized once; its
-    foreground is the cells at or above the threshold. Candidate thresholds
-    are the bucket boundaries k/``OTSU_BINS``, and the chosen one maximizes the
-    between-class variance, ties to the lowest. One histogram and one cumulative
-    sum cover all maps; a float64 score picks the near-best boundaries of each
-    map, and any map whose near-best boundaries differ in their integer class
-    counts is decided by exact integer comparison, so the result matches an
-    exhaustive search bit for bit. A constant map gets an all-foreground mask.
-    A map holding NaN or inf (from a corrupt checkpoint, say) raises
-    ``ValueError`` naming the first such map's index.
+    Each map (at least one cell) is min-max normalized once; its foreground is
+    the cells at or above the threshold. Candidate thresholds are the bucket
+    boundaries k/``OTSU_BINS``, and the chosen one maximizes the between-class
+    variance, ties to the lowest. One histogram and one cumulative sum cover
+    all maps; a float64 score picks the near-best boundaries of each map, and
+    any map whose near-best boundaries differ in their integer class counts is
+    decided by exact integer comparison, so the result matches an exhaustive
+    search bit for bit. A constant map gets an all-foreground mask. A map
+    holding NaN or inf (from a corrupt checkpoint, say) raises ``ValueError``
+    naming the first such map's index. A ragged list of maps raises it too.
     """
     bins = OTSU_BINS
-    arrays = [np.asarray(m, dtype=np.float64) for m in maps]
-    sizes = np.array([v.size for v in arrays], dtype=np.int64)
-    if len(arrays) == 0 or sizes.min() < 1:
+    stack = np.asarray(maps, dtype=np.float64)
+    if stack.ndim == 0 or stack.size == 0:
         raise ValueError("binarize needs maps of at least one cell")
-    if (bins - 1) * int(sizes.max()) ** 2 >= 2 ** 63:
-        raise ValueError(f"a map of {sizes.max()} cells is too large for exact OTSU")
-    values = np.concatenate([v.ravel() for v in arrays])
-    owner = np.repeat(np.arange(len(arrays)), sizes)
-    finite = np.isfinite(values)
+    values = stack.reshape(len(stack), -1)
+    m, size = values.shape
+    if (bins - 1) * size ** 2 >= 2 ** 63:
+        raise ValueError(f"a map of {size} cells is too large for exact OTSU")
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise ValueError(f"attention map {owner[finite.argmin()]} holds non-finite values")
-    starts = np.cumsum(sizes) - sizes
-    lo = np.minimum.reduceat(values, starts)
-    hi = np.maximum.reduceat(values, starts)
+        raise ValueError(f"attention map {finite.argmin()} holds non-finite values")
+    lo, hi = values.min(axis=1), values.max(axis=1)
     varying = hi > lo
-    norm = (values - lo[owner]) / np.where(varying, hi - lo, 1.0)[owner]
+    norm = (values - lo[:, None]) / np.where(varying, hi - lo, 1.0)[:, None]
     idx = np.minimum((norm * bins).astype(np.int64), bins - 1)
-    hist = np.bincount(owner * bins + idx, minlength=len(arrays) * bins).reshape(-1, bins)
+    hist = np.bincount((idx + bins * np.arange(m)[:, None]).ravel(),
+                       minlength=m * bins).reshape(m, bins)
 
     # boundary k = 1..bins-1 (column k-1) splits the cells into buckets < k and >= k;
     # its between-class variance is a^2 / den up to a per-map constant
     n0 = np.cumsum(hist, axis=1)[:, :-1]
     s0 = np.cumsum(hist * np.arange(bins), axis=1)
-    a = sizes[:, None] * s0[:, :-1] - s0[:, -1:] * n0  # exact: |a| <= (bins-1) * size^2
-    den = n0 * (sizes[:, None] - n0)
+    a = size * s0[:, :-1] - s0[:, -1:] * n0  # exact: |a| <= (bins-1) * size^2
+    den = n0 * (size - n0)
     score = np.divide(a.astype(np.float64) ** 2, den, out=np.zeros(den.shape), where=den > 0)
     # the exact best lies within 1e-9 of the float best (the score is off by a few ulp)
     near = score >= score.max(axis=1, keepdims=True) * (1.0 - 1e-9)
@@ -121,15 +119,14 @@ def binarize(maps) -> tuple:
     same = ((a == np.take_along_axis(a, first, axis=1))
             & (den == np.take_along_axis(den, first, axis=1)))
     best = first[:, 0] + 1
-    for m in np.flatnonzero((near & ~same).any(axis=1)):
+    for i in np.flatnonzero((near & ~same).any(axis=1)):
         best_num, best_den = -1, 1
-        for j in np.flatnonzero(near[m]):
-            num, d = int(a[m, j]) ** 2, max(int(den[m, j]), 1)
+        for j in np.flatnonzero(near[i]):
+            num, d = int(a[i, j]) ** 2, max(int(den[i, j]), 1)
             if num * best_den > best_num * d:
-                best[m], best_num, best_den = j + 1, num, d
+                best[i], best_num, best_den = j + 1, num, d
     thresholds = np.where(varying, best / bins, -np.inf)
-    foreground = np.split(norm >= thresholds[owner], starts[1:])
-    return ([fg.reshape(v.shape) for fg, v in zip(foreground, arrays)],
+    return ((norm >= thresholds[:, None]).reshape(stack.shape),
             [float(t) if ok else None for t, ok in zip(thresholds, varying)])
 
 
@@ -194,14 +191,14 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
 
     One classification-network pass per image, at batch 1 so that its cam
     logits (and the predicted class that weighs the cam map) keep a lone
-    image's bits; one ``binarize`` call over all maps of all images; one
-    ``component_boxes`` call per level over that level's masks.
+    image's bits; then per level one ``binarize`` call over the stack of that
+    level's maps and one ``component_boxes`` call over its masks.
     """
     levels = config.tap_levels
     # column views of one float64 table, as einsum's sum order (and with it
     # the cam map's bits) depends on its operands' strides
     class_weights = maen_params["cam.fc.weight"].data.astype(np.float64)
-    maps, lates = [], []
+    maps, lates = {level: [] for level in levels}, []
     for image in images:
         stage_outputs, cam_map, logits = bb.maen_forward(
             maen_params, np.asarray(image)[None], config)
@@ -209,13 +206,11 @@ def pseudo_boxes_batch(images, maen_params: dict, config: bb.BackboneConfig) -> 
         taps = {"mid": stage_outputs[-2], "late": stage_outputs[-1], "cam": cam_map}
         for level in levels:
             weights = class_weights[:, predicted] if level == "cam" else None
-            maps.append(attention_map(taps[level].data[0], weights))
+            maps[level].append(attention_map(taps[level].data[0], weights))
         lates.append(stage_outputs[-1].data)
 
-    masks, _ = binarize(maps)
-    n = len(levels)
-    table = np.stack([component_boxes(masks[j::n]) * config.tap_stride(level)
-                      for j, level in enumerate(levels)], axis=1)
+    table = np.stack([component_boxes(binarize(maps[level])[0]) * config.tap_stride(level)
+                      for level in levels], axis=1)
     h, w = config.input_size
     table = np.where(np.isnan(table), [0.0, 0.0, w, h], np.clip(table, 0.0, [w, h, w, h]))
     return list(zip(table, lates))

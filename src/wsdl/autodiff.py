@@ -13,13 +13,14 @@ tensors that no recorded operation produced; intermediate tensors keep
 a training step that drops its loss frees its whole graph. A recorded op
 keeps its inputs and its output, not scratch buffers: ``conv2d`` rebuilds its
 im2col columns from its input in backward (and forms its input gradient one
-kernel tap at a time), ``conv2d_relu`` rectifies the conv output in place,
-and ``conv2d_relu_pool`` keeps its pooled output and one uint8 switch code
-per pooled element instead of the full-resolution map. So writing a recorded
-input or output in place before ``backward`` changes the gradients (only
-``SGD.step`` writes ``.data`` in place, after backward). ``backward`` gives
-each closure the only reference to its adjoint, freed once spent. Only the
-ops the pipeline needs are provided.
+kernel tap at a time), and ``conv2d_relu`` rectifies the conv output in place.
+Both 2x2 pools route their gradient by one uint8 switch code per pooled
+element, formed in forward, and never read the map they pooled again;
+``conv2d_relu_pool`` keeps its pooled output, not the full-resolution map.
+Apart from a pool's input, writing a recorded input or output in place before
+``backward`` changes the gradients (only ``SGD.step`` writes ``.data`` in
+place, after backward). ``backward`` gives each closure the only reference to
+its adjoint, freed once spent. Only the ops the pipeline needs are provided.
 """
 
 from __future__ import annotations
@@ -267,22 +268,17 @@ def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: 
 def conv2d_relu_pool(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
                      pad: int = 0) -> Tensor:
     """``max_pool2d(conv2d_relu(...))`` bit for bit, recorded as one op that keeps
-    its pooled output and one uint8 switch code per pooled element (Zeiler &
-    Fergus 2014), formed only when a gradient is required, not the full map.
-    Bits 0-3 mark the window's first max, bit 4 whether it is > 0 (relu)."""
+    its pooled output and ``_pool``'s switch codes, not the full-resolution map.
+    Backward multiplies the pooled adjoint by bit 4 (the relu mask) as a float
+    before ``_unpool`` routes it to each window's first max."""
     conv = conv2d(x, kernels, bias, stride, pad)
     y = np.maximum(conv.data, 0.0, out=conv.data)
-    pooled = _window_max(y)
     conv_grad, shape = conv._grad_fn, y.shape
-    if conv_grad is None:  # no input requires a gradient
-        return Tensor(pooled)
-    codes = np.left_shift(pooled > 0, 4, dtype=np.uint8)
-    for k, hit in enumerate(_first_max(y, pooled)):
-        codes |= np.left_shift(hit, k, dtype=np.uint8)
+    pooled, codes = _pool(y, conv_grad is not None)
 
     def grad_fn(g):
-        g = np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16)  # bit 4: the relu mask
-        gx = _scatter(g, ((codes >> k) & 1 for k in range(4)), shape)
+        g = np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16)
+        gx = _unpool(g, codes, shape)
         del g  # freed before the conv's backward
         return conv_grad(gx)
 
@@ -303,8 +299,10 @@ _WINDOW = (np.s_[:, :, ::2, ::2], np.s_[:, :, ::2, 1::2],
            np.s_[:, :, 1::2, ::2], np.s_[:, :, 1::2, 1::2])
 
 
-def _window_max(xd: np.ndarray) -> np.ndarray:
-    """The 2x2 windows' first maxima, as ``max_pool2d`` defines them."""
+def _pool(xd: np.ndarray, switches: bool) -> tuple:
+    """The 2x2 windows' first maxima, as ``max_pool2d`` defines them, and if ``switches``
+    (else None) a uint8 switch code per window (Zeiler & Fergus 2014): bits 0-3 mark
+    the view of its first max (first NaN in a NaN window), bit 4 whether it is > 0."""
     h, w = xd.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"2x2 max pooling needs even extents, got {h}x{w}")
@@ -313,29 +311,26 @@ def _window_max(xd: np.ndarray) -> np.ndarray:
     y = np.maximum(xd[_WINDOW[3]], xd[_WINDOW[2]])
     np.maximum(y, xd[_WINDOW[1]], out=y)
     np.maximum(y, xd[_WINDOW[0]], out=y)
-    return y
-
-
-def _first_max(xd: np.ndarray, y: np.ndarray):
-    """Yield one mask per ``_WINDOW`` view, marking the windows whose first max
-    under ``_window_max`` (first NaN in a NaN window) is that view's element."""
+    if not switches:
+        return y, None
+    codes = np.left_shift(y > 0, 4, dtype=np.uint8)
     free = np.ones(y.shape, dtype=bool)  # windows whose first max is still ahead
-    for view in _WINDOW:
+    for k, view in enumerate(_WINDOW):
         hit = (xd[view] == y) | np.isnan(xd[view])
         hit &= free
         free ^= hit
-        yield hit
+        codes |= np.left_shift(hit, k, dtype=np.uint8)
+    return y, codes
 
 
-def _scatter(g: np.ndarray, hits, shape) -> np.ndarray:
-    """An array of ``shape`` with each window's gradient bits where ``hits`` (a
-    0/1 mask per view) marks, zero bits elsewhere: an integer multiply by the
-    mask is exact even for non-finite gradients, where a float select is
-    several times slower."""
+def _unpool(g: np.ndarray, codes: np.ndarray, shape) -> np.ndarray:
+    """An array of ``shape`` with each window's gradient bits where its switch code
+    marks its first max, zero bits elsewhere: an integer multiply by the code bit
+    is exact even for non-finite gradients, where a float select is slower."""
     gx = np.empty(shape, dtype=g.dtype)
     uint = np.dtype(f"u{gx.itemsize}")
-    for view, hit in zip(_WINDOW, hits):
-        np.multiply(g.view(uint), hit, out=gx.view(uint)[view])
+    for k, view in enumerate(_WINDOW):
+        np.multiply(g.view(uint), (codes >> k) & 1, out=gx.view(uint)[view])
     return gx
 
 
@@ -344,15 +339,14 @@ def max_pool2d(x: Tensor) -> Tensor:
     views, which is each window's first max in row-major order, bit for bit (of
     tied signed zeros the first one's sign; a window that holds a NaN pools to
     the bits of one of its NaNs). Backward sends each window's gradient whole
-    to that first max (the first NaN in a NaN window), +0 to the other three.
-    A recorded pool keeps its input; ``conv2d_relu_pool`` keeps switch codes."""
+    to that first max (the first NaN in a NaN window), +0 to the other three,
+    by ``_pool``'s switch codes: a recorded pool never reads its input again."""
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects [N,C,H,W], got {x.shape}")
-    xd = x.data
-    y = _window_max(xd)
+    y, codes = _pool(x.data, x.requires_grad)
 
     def grad_fn(g):
-        return (_scatter(np.asarray(g, dtype=xd.dtype), _first_max(xd, y), xd.shape),)
+        return (_unpool(np.asarray(g, dtype=y.dtype), codes, x.shape),)
 
     return _make(y, (x,), grad_fn)
 

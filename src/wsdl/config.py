@@ -39,10 +39,16 @@ class TrainConfig:
     decay_epoch_heads: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.decay_factor <= 0 or self.batch_maen < 1:
-            raise ValueError("rates and batch sizes must be positive")
-        if min(self.epochs_maen, self.epochs_rpn, self.epochs_heads) < 1:
-            raise ValueError("every stage needs at least one epoch")
+        for key in ("learning_rate", "decay_factor"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("batch_maen", "epochs_maen", "epochs_rpn", "epochs_heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"):
             if getattr(self, key) < 0:  # one past the stage's last epoch is legal: no decay
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")

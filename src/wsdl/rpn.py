@@ -48,6 +48,8 @@ class AnchorConfig:
             raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}")
         if not 0.0 <= self.nms_iou <= 1.0:
             raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
+        if not self.loss_balance >= 0:
+            raise ValueError(f"loss_balance must be >= 0, got {self.loss_balance}")
         for name in ("pre_nms_top", "post_nms_top", "anchors_per_image_sampled", "rpn_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

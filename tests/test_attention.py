@@ -144,31 +144,41 @@ def test_binarize_matches_exhaustive_oracle_in_one_call():
     # exactness cannot rest on int64: the search's comparison terms overflow it here
     assert _comparison_product(big, otsu_exhaustive(big)) > np.iinfo(np.int64).max
 
-    masks, thresholds = att.binarize(maps)
-    assert len(masks) == len(maps) and len(thresholds) == len(maps)
-    for values, mask, threshold in zip(maps, masks, thresholds):
-        expected_k = otsu_exhaustive(values)
-        assert mask.shape == values.shape
-        if expected_k is None:
-            assert threshold is None and mask.all()
-        else:
-            assert threshold == expected_k / att.OTSU_BINS
-            norm = (values - values.min()) / (values.max() - values.min())
-            assert np.array_equal(mask, norm >= threshold)
+    by_shape = {}  # one call per shape: binarize takes a stack of same-shape maps
+    for i, values in enumerate(maps):
+        by_shape.setdefault(values.shape, []).append(i)
+    for shape, members in by_shape.items():
+        masks, thresholds = att.binarize([maps[i] for i in members])
+        assert masks.shape == (len(members), *shape) and masks.dtype == bool
+        assert len(thresholds) == len(members)
+        for i, mask, threshold in zip(members, masks, thresholds):
+            values = maps[i]
+            expected_k = otsu_exhaustive(values)
+            if expected_k is None:
+                assert threshold is None and mask.all()
+            else:
+                assert threshold == expected_k / att.OTSU_BINS
+                norm = (values - values.min()) / (values.max() - values.min())
+                assert np.array_equal(mask, norm >= threshold)
 
 
 def test_binarize_rejects_empty_input():
-    with pytest.raises(ValueError, match="at least one cell"):
-        att.binarize([])
-    with pytest.raises(ValueError, match="at least one cell"):
-        att.binarize([np.ones((2, 2)), np.ones((0, 3))])
+    for empty in ([], np.zeros((0, 4, 4)), np.ones((2, 0, 3)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="at least one cell"):
+            att.binarize(empty)
+
+
+def test_binarize_rejects_a_ragged_list():
+    with pytest.raises(ValueError):
+        att.binarize([np.ones((2, 2)), np.ones((2, 3))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_binarize_rejects_non_finite_maps_by_index(bad):
-    maps = [np.ones((3, 3)), np.arange(4.0).reshape(2, 2), np.zeros((2, 5)), np.ones((1, 1))]
-    maps[2][1, 3] = bad
-    maps[3][0, 0] = bad
+    maps = np.stack([np.ones((2, 5)), np.arange(10.0).reshape(2, 5), np.zeros((2, 5)),
+                     np.ones((2, 5))])
+    maps[2, 1, 3] = bad
+    maps[3, 0, 0] = bad
     with pytest.raises(ValueError, match="attention map 2 holds non-finite values"):
         att.binarize(maps)
 

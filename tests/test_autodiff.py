@@ -129,6 +129,20 @@ def test_max_pool_signed_zeros_and_nans_match_argmax_bitwise(dtype, shape):
     assert np.array_equal(_bits(gx), _bits(_routed(picked, g)))
 
 
+def test_max_pool_backward_does_not_read_its_input_again():
+    x = np.random.default_rng(13).integers(-2, 3, size=(2, 3, 6, 8)).astype(np.float64)
+    grads = []
+    for overwrite in (False, True):
+        xt = t(x.copy())
+        loss = ad.sum_all(ad.mul_const(ad.max_pool2d(xt), np.arange(72.0).reshape(2, 3, 3, 4)))
+        if overwrite:  # the switch codes, formed in forward, still route the gradient
+            xt.data *= -1.0
+        ad.backward(loss)
+        grads.append(xt.grad)
+    assert np.array_equal(_bits(grads[0]), _bits(grads[1]))
+    assert np.count_nonzero(grads[0]) == 71  # every window's weight but the zero one
+
+
 def test_max_pool_nan_window_gradient_goes_to_first_nan():
     nan = np.nan
     x = np.array([[[[1.0, nan, 9.0, 9.0],

@@ -319,6 +319,7 @@ def test_train_rejects_a_config_that_repeats_a_key(tmp_path, capsys):
     ("seed = 3\ndecay_factor = inf\n", ":2: bad value for 'decay_factor': expected a finite "
                                         "number, got 'inf'"),
     ("scales = 0,32,48\n", ": scales must be positive, got (0.0, 32.0, 48.0)"),
+    ("momentum = 1.5\n", ": momentum must be in [0, 1), got 1.5"),
 ])
 def test_train_rejects_a_config_value_that_would_fail_late(tmp_path, capsys, text, error):
     cfg = tmp_path / "late.cfg"
@@ -327,6 +328,15 @@ def test_train_rejects_a_config_value_that_would_fail_late(tmp_path, capsys, tex
     assert run(["train", "--data", str(tmp_path / "data"), "--out", str(out),
                 "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {cfg}{error}\n"
+    assert not out.exists()
+
+
+def test_gen_data_rejects_a_negative_split_count(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("train_count = -3\n")
+    out = tmp_path / "data"
+    assert run(["gen-data", "--out", str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: train_count must be >= 0, got -3\n"
     assert not out.exists()
 
 

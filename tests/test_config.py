@@ -152,6 +152,25 @@ def test_negative_decay_epoch_rejected(key):
     TrainConfig(epochs_maen=3, epochs_rpn=3, epochs_heads=3, **{key: 3})
 
 
+@pytest.mark.parametrize("key, raw, error", [
+    ("momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+    ("momentum", "-1", "momentum must be in [0, 1), got -1.0"),
+    ("weight_decay", "-0.1", "weight_decay must be >= 0, got -0.1"),
+    ("loss_balance", "-3", "loss_balance must be >= 0, got -3.0"),
+    ("learning_rate", "0", "learning_rate must be > 0, got 0.0"),
+    ("decay_factor", "-2", "decay_factor must be > 0, got -2.0"),
+    ("batch_maen", "0", "batch_maen must be >= 1, got 0"),
+    ("epochs_heads", "0", "epochs_heads must be >= 1, got 0"),
+    ("train_count", "-3", "train_count must be >= 0, got -3"),
+    ("test_count", "-1", "test_count must be >= 0, got -1"),
+])
+def test_sync_derived_rejects_out_of_range_values_naming_the_key(key, raw, error):
+    cfg = RunConfig.default()
+    cfg.apply_text(f"{key} = {raw}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        cfg.sync_derived()
+
+
 @pytest.mark.parametrize("key, raw", [
     ("fg_fraction", "3.0"), ("fg_fraction", "-0.5"), ("fg_iou", "0.0"), ("fg_iou", "2.0"),
 ])
@@ -178,6 +197,8 @@ def test_sync_derived_rejects_bad_anchor_and_head_counts(key, raw):
     ("pre_nms_top", "1"), ("post_nms_top", "1"), ("anchors_per_image_sampled", "1"),
     ("rpn_channels", "1"), ("nms_iou", "0.0"), ("nms_iou", "1.0"),
     ("rois_per_image", "1"), ("hidden", "1"), ("roi_out", "1,1"),
+    ("momentum", "0.0"), ("momentum", "0.999"), ("weight_decay", "0.0"),
+    ("loss_balance", "0.0"), ("train_count", "0"), ("test_count", "0"),
 ])
 def test_sync_derived_accepts_range_ends_and_defaults(key, raw):
     cfg = RunConfig.default()

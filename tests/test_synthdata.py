@@ -190,7 +190,7 @@ BAD_GEN_VALUES = [
     ("object_fraction", (0.9, 1.2)), ("object_fraction", (0.6, 0.3)),
     ("object_fraction", (-0.1, 0.5)), ("object_fraction", (0.5, 0.97)),
     ("object_fraction", (0.5,)), ("image_size", (16, 16)), ("image_size", (64, 18)),
-    ("noise_span", -2), ("clutter_density", -1),
+    ("noise_span", -2), ("clutter_density", -1), ("train_count", -3), ("test_count", -1),
 ]
 
 
