@@ -17,6 +17,8 @@ kernel tap at a time), and ``conv2d_relu`` rectifies the conv output in place.
 Both 2x2 pools route their gradient by one uint8 switch code per pooled
 element, formed in forward, and never read the map they pooled again;
 ``conv2d_relu_pool`` keeps its pooled output, not the full-resolution map.
+``conv2d_relu2_pool`` (two convs, their relus and a pool) keeps its input too,
+and rebuilds the map between its convs one sample at a time in backward.
 Apart from a pool's input, writing a recorded input or output in place before
 ``backward`` changes the gradients (only ``SGD.step`` writes ``.data`` in
 place, after backward). ``backward`` gives each closure the only reference to
@@ -160,13 +162,14 @@ def backward(loss: Tensor):
 # forward operators
 
 
-def _sample_columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int):
-    """Yield each sample's [C*kh*kw, Ho*Wo] column matrix, built in one reused
-    buffer; a padded sample is copied into the interior of one zeroed buffer."""
-    c, h, w = x.shape[1:]
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype) if pad else None
-    cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
-    for xs in x:
+def _sample_columns(samples, kh: int, kw: int, stride: int, pad: int, ho: int, wo: int):
+    """Yield the [C*kh*kw, Ho*Wo] column matrix of each [C,H,W] map of ``samples``, built in
+    one reused buffer; a padded sample is copied into the interior of one zeroed buffer."""
+    for s, xs in enumerate(samples):
+        if s == 0:
+            c, h, w = xs.shape
+            xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=xs.dtype) if pad else None
+            cols = np.empty((c, kh, kw, ho, wo), dtype=xs.dtype)
         if pad:
             xp[:, pad : pad + h, pad : pad + w] = xs
             xs = xp
@@ -174,6 +177,35 @@ def _sample_columns(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ho: 
             for j in range(kw):
                 cols[:, i, j] = xs[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
         yield cols.reshape(c * kh * kw, ho * wo)
+
+
+def _conv_grads(g: np.ndarray, kernels: np.ndarray, x_shape, x_dtype, stride: int, pad: int,
+                wants: tuple, columns) -> tuple:
+    """A conv's gradients (gx, gk, gb) for its adjoint ``g`` [N,K,Ho,Wo] over an input of
+    ``x_shape`` and ``x_dtype``, each None unless flagged in ``wants``: gk sums one GEMM per
+    sample's columns from ``columns``; gx is col2im one tap at a time (one [N,C,Ho*Wo] buffer)."""
+    n, k, ho, wo = g.shape
+    _, c, h, w = x_shape
+    kh, kw = kernels.shape[2:]
+    gflat = g.reshape(n, k, ho * wo)
+    gx = gk = None
+    if wants[1]:
+        per = np.empty((n, k, c * kh * kw), dtype=np.result_type(gflat, x_dtype))
+        for s, cols in enumerate(columns):
+            np.matmul(gflat[s], cols.T, out=per[s])
+        gk = per.sum(axis=0).reshape(kernels.shape)
+        per = cols = None  # freed before the input gradient forms
+    gb = g.sum(axis=(0, 2, 3)) if wants[2] else None
+    if wants[0]:
+        # taps[t].T is F-contiguous like wflat.T, so BLAS keeps its transposed-A path
+        taps = np.ascontiguousarray(kernels.transpose(2, 3, 0, 1)).reshape(kh * kw, k, c)
+        dcols = np.empty((n, c, ho, wo), dtype=np.result_type(taps, gflat))
+        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x_dtype)
+        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+            np.matmul(taps[t].T, gflat, out=dcols.reshape(n, c, ho * wo))
+            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols
+        gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
+    return gx, gk, gb
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -226,26 +258,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
     out += bias.data.reshape(1, k, 1, 1)
 
     def grad_fn(g):
-        gflat = g.reshape(n, k, ho * wo)
-        gk = gb = gx = None
-        if kernels.requires_grad:
-            per = np.empty((n, k, c * kh * kw), dtype=np.result_type(gflat, x.data))
-            for s, cols in enumerate(_sample_columns(x.data, kh, kw, stride, pad, ho, wo)):
-                np.matmul(gflat[s], cols.T, out=per[s])
-            gk = per.sum(axis=0).reshape(kernels.shape)
-            per = cols = None  # freed before the input gradient forms
-        if bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        if x.requires_grad:
-            # taps[t].T is F-contiguous like wflat.T, so BLAS keeps its transposed-A path
-            taps = np.ascontiguousarray(kernels.data.transpose(2, 3, 0, 1)).reshape(kh * kw, k, c)
-            dcols = np.empty((n, c, ho, wo), dtype=np.result_type(taps, gflat))
-            gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-            for t, (i, j) in enumerate(np.ndindex(kh, kw)):
-                np.matmul(taps[t].T, gflat, out=dcols.reshape(n, c, ho * wo))
-                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols
-            gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
-        return gx, gk, gb
+        wants = (x.requires_grad, kernels.requires_grad, bias.requires_grad)
+        return _conv_grads(g, kernels.data, x.shape, x.data.dtype, stride, pad, wants,
+                           _sample_columns(x.data, kh, kw, stride, pad, ho, wo))
 
     return _make(out, (x, kernels, bias), grad_fn)
 
@@ -283,6 +298,48 @@ def conv2d_relu_pool(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
         return conv_grad(gx)
 
     return _make(pooled, (x, kernels, bias), grad_fn)
+
+
+def conv2d_relu2_pool(x: Tensor, k0: Tensor, b0: Tensor, k1: Tensor, b1: Tensor,
+                      pad: int = 0) -> Tensor:
+    """``conv2d_relu_pool(conv2d_relu(x, k0, b0, 1, pad), k1, b1, 1, pad)`` bit for bit; recorded,
+    it keeps ``x``, its pooled output and the switch codes, never the inner map: forward
+    frees it once the outer conv has read it, and backward rebuilds it per sample for the
+    outer kernel gradient and the inner relu mask (Chen et al. 2016's checkpointing)."""
+    parents = (x, k0, b0, k1, b1)
+    fx, fk0, fb0, fk1, fb1 = (Tensor(p.data) for p in parents)  # these convs record nothing
+    inner = conv2d_relu(fx, fk0, fb0, 1, pad).data
+    inner_shape, dtype = inner.shape, inner.dtype
+    y = conv2d(Tensor(inner), fk1, fb1, 1, pad).data
+    del inner
+    shape = np.maximum(y, 0.0, out=y).shape
+    pooled, codes = _pool(y, any(p.requires_grad for p in parents))
+
+    def inner_maps(masks):  # rebuilt per sample, each first masking its row of ``masks``
+        for s in range(x.shape[0]):
+            ys = conv2d_relu(Tensor(x.data[s : s + 1]), fk0, fb0, 1, pad).data[0]
+            if masks is not None:
+                np.multiply(masks[s], ys > 0, out=masks[s])
+            yield ys
+
+    def grad_fn(g):
+        gy = _unpool(np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16), codes, shape)
+        del g  # freed before the col2im
+        need = [p.requires_grad for p in parents]
+        gin = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (any(need[:3]), False, False), ())[0]
+        columns = _sample_columns(inner_maps(gin), *k1.shape[2:], 1, pad, *shape[2:])
+        _, gk1, gb1 = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (False, *need[3:]), columns)
+        del gy
+        if gin is None:
+            return None, None, None, gk1, gb1
+        if not need[3]:  # no outer kernel gradient drew the rebuilt maps, so gin is unmasked
+            for _ in inner_maps(gin):
+                pass
+        gin = np.ascontiguousarray(gin)  # frees the padded gradient before the inner backward
+        columns = _sample_columns(x.data, *k0.shape[2:], 1, pad, *inner_shape[2:])
+        return _conv_grads(gin, k0.data, x.shape, x.data.dtype, 1, pad, need[:3], columns) + (gk1, gb1)
+
+    return _make(pooled, parents, grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:

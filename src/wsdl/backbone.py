@@ -4,6 +4,8 @@ Three stages of (conv3x3 + relu) x 2 followed by 2x2 max pooling leave the
 shared feature map at stride 8 over 64x64 inputs. The classification network
 adds one more 3x3 conv ("cam" tap), global average pooling, and a linear
 classifier; its attention maps later supervise the localization network.
+A stage's last two convs, relus and pool are one op, ``ad.conv2d_relu2_pool``,
+which rebuilds the map between the convs in backward (one conv: ``conv2d_relu_pool``).
 The forward passes take the images as an [N,3,H,W] array and return
 tensors: ``stage_forward`` one map per stage, ``maen_forward`` those maps,
 the cam map and the logits. A tap level names one of them ("mid" the
@@ -46,6 +48,9 @@ class BackboneConfig:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.stage_channels) < 2:
             raise ValueError("need at least two stages")
+        for key in ("stage_channels", "convs_per_stage", "cam_channels"):
+            if np.min(getattr(self, key)) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for i, name in enumerate(self.tap_levels):
             if name not in VALID_TAPS:
                 raise ValueError(f"unknown tap level {name!r}, valid: {VALID_TAPS}")
@@ -127,10 +132,12 @@ def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> l
     x = Tensor(images - images.mean(axis=(1, 2, 3), keepdims=True))
     outputs = []
     for s in range(len(config.stage_channels)):
-        for j in range(config.convs_per_stage):
-            op = ad.conv2d_relu_pool if j == config.convs_per_stage - 1 else ad.conv2d_relu
-            x = op(x, params[f"stages.{s}.conv{j}.weight"],
-                   params[f"stages.{s}.conv{j}.bias"], stride=1, pad=1)
+        convs = [(params[f"stages.{s}.conv{j}.weight"], params[f"stages.{s}.conv{j}.bias"])
+                 for j in range(config.convs_per_stage)]
+        for kernels, bias in convs[:-2]:
+            x = ad.conv2d_relu(x, kernels, bias, stride=1, pad=1)
+        x = (ad.conv2d_relu2_pool(x, *convs[-2], *convs[-1], pad=1) if len(convs) > 1
+             else ad.conv2d_relu_pool(x, *convs[0], stride=1, pad=1))
         outputs.append(x)
     return outputs
 

@@ -190,7 +190,7 @@ def _cmd_bench(args) -> int:
     model = pl.load_model(args.model)
     view = sd.TrainView(os.path.join(args.data, "test"))
     modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
-    result = {mode: ev.bench(model, view.images, mode, repeats=args.repeats) for mode in modes}
+    result = {mode: ev.bench(model, view.images[:], mode, repeats=args.repeats) for mode in modes}
     if len(modes) == 2:
         result["ratio"] = result["shared"] / result["separate"]
     print(json.dumps(result, sort_keys=True))

@@ -257,9 +257,9 @@ def train_stagewise(view, config: RunConfig, log_fn=None, trained=()) -> Trained
 # inference
 
 
-def batches(items) -> list:
-    """``items`` in consecutive slices of ``BATCH``."""
-    return [items[start : start + BATCH] for start in range(0, len(items), BATCH)]
+def batches(items):
+    """``items`` in consecutive slices of ``BATCH``, each sliced as it is reached."""
+    return (items[start : start + BATCH] for start in range(0, len(items), BATCH))
 
 
 def _trunk(image, model: TrainedModel) -> np.ndarray:

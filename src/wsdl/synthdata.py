@@ -265,6 +265,21 @@ def load_labels(split_dir) -> list:
     return out
 
 
+@dataclass(eq=False)
+class FloatImages:
+    """Uint8 images read as ``image_to_float``'s float32 [3,H,W] arrays on access (a slice: a list)."""
+
+    raw: list
+
+    def __len__(self):
+        return len(self.raw)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [image_to_float(img) for img in self.raw[index]]
+        return image_to_float(self.raw[index])
+
+
 class TrainView:
     """The weak-supervision view of a split: images and class labels only.
 
@@ -279,9 +294,8 @@ class TrainView:
             raise ValueError(f"{split_dir}: empty labels file")
         self.filenames = [name for name, _ in entries]
         self.labels = np.array([label for _, label in entries], dtype=np.int64)
-        self.images = [
-            image_to_float(read_ppm(os.path.join(split_dir, name))) for name in self.filenames
-        ]
+        self.images = FloatImages(
+            [read_ppm(os.path.join(split_dir, name)) for name in self.filenames])
 
     def __len__(self):
         return len(self.filenames)

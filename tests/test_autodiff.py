@@ -435,6 +435,102 @@ def test_conv2d_relu_pool_rejects_odd_extents():
         ad.conv2d_relu_pool(x, k, b, pad=0)
 
 
+def _stage_pair(x, k0, b0, k1, b1, pad, g, frozen=()):
+    """Output and leaf gradients of ``conv2d_relu2_pool`` and of the composition it
+    stands for, each as [output, gx, gk0, gb0, gk1, gb1] (None for a frozen leaf), after
+    checking that a second ``backward`` doubles every gradient. ``frozen`` holds the
+    indices of the leaves that do not require grad."""
+    runs = []
+    for fused in (False, True):
+        leaves = [Tensor(a, requires_grad=i not in frozen)
+                  for i, a in enumerate((x, k0, b0, k1, b1))]
+        if fused:
+            out = ad.conv2d_relu2_pool(*leaves, pad=pad)
+        else:
+            inner = ad.conv2d_relu(*leaves[:3], 1, pad)
+            out = ad.conv2d_relu_pool(inner, *leaves[3:], 1, pad)
+        loss = ad.sum_all(ad.mul_const(out, g))
+        ad.backward(loss)
+        first = [None if p.grad is None else p.grad.copy() for p in leaves]
+        ad.backward(loss)  # a second pass doubles every leaf gradient
+        for p, once in zip(leaves, first):
+            assert (p.grad is None) == (once is None)
+            assert once is None or np.array_equal(_bits(p.grad), _bits(once + once))
+        runs.append([out.data] + first)
+    return runs
+
+
+def _assert_same_bits(got, ref, case):
+    for a, b in zip(got, ref):
+        assert (a is None) == (b is None), case
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, case
+            assert np.array_equal(_bits(a), _bits(b)), case
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 20])
+def test_conv2d_relu2_pool_bitwise_equals_conv2d_relu_pool_of_conv2d_relu(dtype, n):
+    rng = np.random.default_rng(36)
+    # (inner kh, outer kh, pad) giving even extents on the 8x12 input
+    for kh0, kh1, pad in ((3, 3, 1), (3, 3, 0), (1, 1, 0), (1, 3, 1), (3, 1, 1)):
+        for special in (False, True):
+            x, k0, b0 = _pool_conv_inputs(rng, n, dtype, special)
+            _, k1, b1 = _pool_conv_inputs(rng, 1, dtype, False)
+            k0 = np.ascontiguousarray(k0[:, :, :kh0, :kh0])
+            k1 = np.ascontiguousarray(np.concatenate([k1, k1[:, :1]], axis=1)[:, :, :kh1, :kh1])
+            x_before = x.copy()
+            case = (kh0, kh1, pad, special)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+                frozen = ad.conv2d_relu2_pool(*(Tensor(a) for a in (x, k0, b0, k1, b1)), pad=pad)
+                assert frozen._grad_fn is None and frozen._parents == (), case
+                assert not frozen.requires_grad, case
+                g = _sprinkle(rng.normal(size=frozen.shape), rng).astype(dtype)
+                # all leaves; a frozen outer kernel; a frozen input and inner conv
+                for frozen_leaves in ((), (3,), (0, 1, 2)):
+                    ref, got = _stage_pair(x, k0, b0, k1, b1, pad, g, frozen_leaves)
+                    _assert_same_bits(got, ref, case + (frozen_leaves,))
+            assert np.array_equal(_bits(frozen.data), _bits(ref[0])), case
+            assert np.array_equal(_bits(x), _bits(x_before)), case
+    assert np.isnan(got[0]).any()  # the special inputs did reach NaN windows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 20])
+@pytest.mark.parametrize("c,k,hw", [(3, 16, 64), (16, 32, 32), (32, 64, 16)])
+def test_conv2d_relu2_pool_bitwise_equals_its_composition_at_trunk_shapes(dtype, n, c, k, hw):
+    rng = np.random.default_rng(37)
+    for special in (False, True):
+        x = rng.normal(size=(n, c, hw, hw)).astype(dtype)
+        k0 = rng.normal(size=(k, c, 3, 3)).astype(dtype)
+        k1 = rng.normal(size=(k, k, 3, 3)).astype(dtype)
+        b0, b1 = rng.normal(size=(2, k)).astype(dtype)
+        g = rng.normal(size=(n, k, hw // 2, hw // 2)).astype(dtype)
+        if special:
+            x, g = _sprinkle(x, rng), _sprinkle(g, rng)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+            ref, got = _stage_pair(x, k0, b0, k1, b1, 1, g)
+        _assert_same_bits(got, ref, special)
+
+
+def test_conv2d_relu2_pool_retains_pooled_output_and_one_code_per_element():
+    rng = np.random.default_rng(38)
+    x = t(rng.normal(size=(2, 8, 32, 32)))
+    k0, k1 = t(rng.normal(size=(4, 8, 3, 3))), t(rng.normal(size=(4, 4, 3, 3)))
+    b0, b1 = t(rng.normal(size=4)), t(rng.normal(size=4))
+    ad.conv2d_relu2_pool(x, k0, b0, k1, b1, pad=1)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d_relu2_pool(x, k0, b0, k1, b1, pad=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # neither the inner map nor the outer full-resolution map (4x the pooled bytes
+    # each) is kept
+    assert retained <= out.data.nbytes + out.data.size + 16 * 1024
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("c,k,hw", [(16, 16, 16), (16, 32, 16), (32, 64, 8), (64, 64, 8),
@@ -784,6 +880,24 @@ def test_gradcheck_conv2d_relu_pool():
         return ad.sum_all(ad.mul_const(ad.conv2d_relu_pool(x, k, b, pad=1), weights))
 
     _check(build, params, 35)
+
+
+def test_gradcheck_conv2d_relu2_pool():
+    weights = np.random.default_rng(39).normal(size=(2, 3, 2, 3))
+
+    def params(rng):
+        return (
+            t(rng.normal(size=(2, 2, 4, 6))),
+            t(rng.normal(size=(3, 2, 3, 3))),
+            t(rng.normal(size=3)),
+            t(rng.normal(size=(3, 3, 3, 3))),
+            t(rng.normal(size=3)),
+        )
+
+    def build(x, k0, b0, k1, b1):
+        return ad.sum_all(ad.mul_const(ad.conv2d_relu2_pool(x, k0, b0, k1, b1, pad=1), weights))
+
+    _check(build, params, 40)
 
 
 def test_gradcheck_global_avg_pool():

@@ -29,15 +29,22 @@ def test_dumps_that_differ_in_one_entry_name_it(capsys):
     parent = {"seed 1: model_digest": "a", "seed 1: log line 1": "b", "seed 1: log line 2": "c"}
     assert bitcheck.compare(parent, dict(parent)) == 0
     assert capsys.readouterr().out == "bit-identical: 3 entries (1 model_digest, 2 log)\n"
+    # the first difference is named, then each kind's equal and differing counts
     cases = [
-        ({**parent, "seed 1: log line 1": "x"}, "seed 1: log line 1 differs"),
+        ({**parent, "seed 1: log line 1": "x"}, "seed 1: log line 1 differs",
+         "model_digest: 1 equal, 0 differ\nlog: 1 equal, 1 differ\n"),
         ({k: v for k, v in parent.items() if k != "seed 1: log line 2"},
-         "seed 1: log line 2 only in the parent"),
-        ({**parent, "seed 1: log line 3": "d"}, "seed 1: log line 3 only in the change"),
+         "seed 1: log line 2 only in the parent",
+         "model_digest: 1 equal, 0 differ\nlog: 1 equal, 1 differ\n"),
+        ({**parent, "seed 1: log line 3": "d"}, "seed 1: log line 3 only in the change",
+         "model_digest: 1 equal, 0 differ\nlog: 2 equal, 1 differ\n"),
+        ({**parent, "seed 1: model_digest": "x", "seed 1: log line 2": "x",
+          "split 1/12, model 1: infer img_00000.ppm": "e"}, "seed 1: model_digest differs",
+         "model_digest: 0 equal, 1 differ\nlog: 1 equal, 1 differ\ninfer: 0 equal, 1 differ\n"),
     ]
-    for change, named in cases:
+    for change, named, tally in cases:
         assert bitcheck.compare(parent, change) == 1
-        assert capsys.readouterr().out == f"NOT bit-identical: {named}\n"
+        assert capsys.readouterr().out == f"NOT bit-identical: {named}\n{tally}"
 
 
 def test_number_lists_and_ranges():

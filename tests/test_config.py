@@ -106,6 +106,22 @@ def test_anchor_scales_and_ratios_must_be_positive(tmp_path, key, raw):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("key, raw, error", [
+    ("convs_per_stage", "0", "convs_per_stage must be >= 1, got 0"),
+    ("cam_channels", "0", "cam_channels must be >= 1, got 0"),
+    ("cam_channels", "-1", "cam_channels must be >= 1, got -1"),
+    ("stage_channels", "0,0,0", "stage_channels must be >= 1, got (0, 0, 0)"),
+    ("stage_channels", "16,-1,64", "stage_channels must be >= 1, got (16, -1, 64)"),
+])
+def test_backbone_sizes_must_be_positive(tmp_path, key, raw, error):
+    # each failed late before: a channel mismatch in conv2d, a ZeroDivisionError
+    # traceback, or "negative dimensions are not allowed"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
+        load_run_config(path)
+
+
 def test_sync_derived_follows_backbone(tmp_path):
     cfg = RunConfig.default()
     cfg.set_key("stage_channels", "8,16")
@@ -199,6 +215,7 @@ def test_sync_derived_rejects_bad_anchor_and_head_counts(key, raw):
     ("rois_per_image", "1"), ("hidden", "1"), ("roi_out", "1,1"),
     ("momentum", "0.0"), ("momentum", "0.999"), ("weight_decay", "0.0"),
     ("loss_balance", "0.0"), ("train_count", "0"), ("test_count", "0"),
+    ("convs_per_stage", "1"), ("cam_channels", "1"), ("stage_channels", "1,1,1"),
 ])
 def test_sync_derived_accepts_range_ends_and_defaults(key, raw):
     cfg = RunConfig.default()

@@ -87,6 +87,26 @@ def test_each_training_step_frees_its_graph(tiny_setup, monkeypatch, stage):
     assert len(alive) > 1 and not any(alive)
 
 
+def test_batches_slice_each_batch_as_it_is_reached():
+    # a view's images convert to float32 as they are sliced, so slicing every batch
+    # up front held a whole split as float32 at once (desk training peaked at 109.4
+    # MB that way, against 84.2 MB)
+    sliced = []
+
+    class Items:
+        def __len__(self):
+            return 2 * pl.BATCH + 1
+
+        def __getitem__(self, index):
+            sliced.append(index)
+            return list(range(len(self)))[index]
+
+    it = pl.batches(Items())
+    assert sliced == []
+    assert next(it) == list(range(pl.BATCH)) and len(sliced) == 1
+    assert [len(batch) for batch in it] == [pl.BATCH, 1] and len(sliced) == 3
+
+
 def test_each_stage_decays_its_learning_rate_once(tmp_path, monkeypatch):
     # three epochs, so that a second decay at epoch 2 would show
     cfg = tiny_config(train_count=20, test_count=4, epochs_maen=3, epochs_rpn=3,

@@ -101,6 +101,27 @@ def test_ppm_roundtrip(tmp_path):
     assert f.min() >= 0.0 and f.max() <= 1.0
 
 
+def test_train_view_keeps_uint8_images_and_reads_them_as_float(tmp_path):
+    rng = np.random.default_rng(1)
+    split = tmp_path / "train"
+    split.mkdir()
+    imgs = [rng.integers(0, 256, size=(4, 6, 3)).astype(np.uint8) for _ in range(3)]
+    for i, img in enumerate(imgs):
+        sd.write_ppm(split / f"{i}.ppm", img)
+    (split / "labels.tsv").write_text("".join(f"{i}.ppm\t{i % 2}\n" for i in range(3)))
+    view = sd.TrainView(split)
+    want = [sd.image_to_float(img) for img in imgs]
+    assert len(view.images) == 3
+    assert all(raw.dtype == np.uint8 for raw in view.images.raw)
+    read = [view.images[1], view.images[-1], *view.images[:2], *view.images]
+    for got, ref in zip(read, [want[1], want[2], *want[:2], *want]):
+        assert got.dtype == np.float32 and got.shape == (3, 4, 6)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+    assert isinstance(view.images[1:], list) and len(view.images[1:]) == 2
+    with pytest.raises(IndexError):
+        view.images[3]
+
+
 @pytest.mark.parametrize("header", [
     b"P6 4 3 255\n",
     b"P6\n# written by another tool\n4 3\n# maxval follows\n255\n",

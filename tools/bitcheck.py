@@ -19,9 +19,13 @@ to SHA-256 digests:
   every level.
 
 It prints ``bit-identical`` and exits 0 when both dumps hold the same
-entries with the same digests. Otherwise it exits 1 and names the first
-entry that differs or that only one side holds; 2 means a checkout failed
-to run. ``dump`` is the child's own command:
+entries with the same digests. Otherwise it exits 1: it names the first
+entry that differs or that only one side holds, then prints one line per
+entry kind (``model_digest``, ``log``, ``checkpoint``, ``evaluate_model``,
+``infer``, ``infer_separate``, ``maen_pseudo_box``) with how many entries
+are equal and how many differ, so that a change which moves some outputs
+shows which. 2 means a checkout failed to run. ``dump`` is the child's own
+command:
 
     python3 tools/bitcheck.py dump CHECKOUT OUT_JSON [options]
 """
@@ -35,7 +39,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 
 import numpy as np
 
@@ -134,18 +137,30 @@ def dump(checkout: str, args, work: str) -> dict:
     return entries
 
 
+def _kind(name: str) -> str:
+    """``seed 1: log line 3`` -> ``log``."""
+    return name.split(": ", 1)[1].split(" ")[0]
+
+
 def compare(parent: dict, change: dict) -> int:
-    """Print the verdict on two dumps; 0 when equal, else 1 naming the first difference."""
-    for name in list(parent) + [name for name in change if name not in parent]:
-        if parent.get(name) != change.get(name):
-            how = ("only in the parent" if name not in change
-                   else "only in the change" if name not in parent else "differs")
-            print(f"NOT bit-identical: {name} {how}")
-            return 1
-    kinds = Counter(name.split(": ", 1)[1].split(" ")[0] for name in parent)
-    print(f"bit-identical: {len(parent)} entries ("
-          + ", ".join(f"{n} {kind}" for kind, n in kinds.items()) + ")")
-    return 0
+    """Print the verdict on two dumps; 0 when equal, else 1 naming the first difference
+    and tallying equal and differing entries per kind."""
+    names = list(parent) + [name for name in change if name not in parent]
+    differ = {name for name in names if parent.get(name) != change.get(name)}
+    tally = {}  # kind -> [equal, differing]
+    for name in names:
+        tally.setdefault(_kind(name), [0, 0])[name in differ] += 1
+    if not differ:
+        print(f"bit-identical: {len(parent)} entries ("
+              + ", ".join(f"{equal} {kind}" for kind, (equal, _) in tally.items()) + ")")
+        return 0
+    name = next(name for name in names if name in differ)
+    how = ("only in the parent" if name not in change
+           else "only in the change" if name not in parent else "differs")
+    print(f"NOT bit-identical: {name} {how}")
+    for kind, (equal, differing) in tally.items():
+        print(f"{kind}: {equal} equal, {differing} differ")
+    return 1
 
 
 def main(argv=None) -> int:
