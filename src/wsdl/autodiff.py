@@ -16,9 +16,9 @@ im2col columns from its input in backward (and forms its input gradient one
 kernel tap at a time), and ``conv2d_relu`` rectifies the conv output in place.
 Both 2x2 pools route their gradient by one uint8 switch code per pooled
 element, formed in forward, and never read the map they pooled again;
-``conv2d_relu_pool`` keeps its pooled output, not the full-resolution map.
-``conv2d_relu2_pool`` (two convs, their relus and a pool) keeps its input too,
-and rebuilds the map between its convs one sample at a time in backward.
+``conv2d_relu2_pool`` (two convs, their relus and a pool) keeps its input and
+its pooled output, not a full-resolution map, and rebuilds the map between
+its convs one sample at a time in backward.
 Apart from a pool's input, writing a recorded input or output in place before
 ``backward`` changes the gradients (only ``SGD.step`` writes ``.data`` in
 place, after backward). ``backward`` gives each closure the only reference to
@@ -267,7 +267,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int =
 
 def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """``relu(conv2d(...))`` bit for bit, recorded as one op that keeps one array: the
-    conv output, rectified in place (``conv2d_relu_pool`` keeps only its pooled form).
+    conv output, rectified in place (``conv2d_relu2_pool`` keeps only its pooled form).
     Backward's relu mask ``y > 0`` is ``pre > 0`` (in-place activation, Rota Bulo 2018)."""
     conv = conv2d(x, kernels, bias, stride, pad)
     y = np.maximum(conv.data, 0.0, out=conv.data)
@@ -280,32 +280,12 @@ def conv2d_relu(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, pad: 
     return _make(y, (x, kernels, bias), grad_fn)
 
 
-def conv2d_relu_pool(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1,
-                     pad: int = 0) -> Tensor:
-    """``max_pool2d(conv2d_relu(...))`` bit for bit, recorded as one op that keeps
-    its pooled output and ``_pool``'s switch codes, not the full-resolution map.
-    Backward multiplies the pooled adjoint by bit 4 (the relu mask) as a float
-    before ``_unpool`` routes it to each window's first max."""
-    conv = conv2d(x, kernels, bias, stride, pad)
-    y = np.maximum(conv.data, 0.0, out=conv.data)
-    conv_grad, shape = conv._grad_fn, y.shape
-    pooled, codes = _pool(y, conv_grad is not None)
-
-    def grad_fn(g):
-        g = np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16)
-        gx = _unpool(g, codes, shape)
-        del g  # freed before the conv's backward
-        return conv_grad(gx)
-
-    return _make(pooled, (x, kernels, bias), grad_fn)
-
-
 def conv2d_relu2_pool(x: Tensor, k0: Tensor, b0: Tensor, k1: Tensor, b1: Tensor,
                       pad: int = 0) -> Tensor:
-    """``conv2d_relu_pool(conv2d_relu(x, k0, b0, 1, pad), k1, b1, 1, pad)`` bit for bit; recorded,
-    it keeps ``x``, its pooled output and the switch codes, never the inner map: forward
-    frees it once the outer conv has read it, and backward rebuilds it per sample for the
-    outer kernel gradient and the inner relu mask (Chen et al. 2016's checkpointing)."""
+    """``max_pool2d(conv2d_relu(conv2d_relu(x, k0, b0, 1, pad), k1, b1, 1, pad))`` bit for bit;
+    recorded, it keeps ``x``, its pooled output and the switch codes, never a full-resolution
+    map: forward frees the inner one once the outer conv has read it, and backward rebuilds it
+    per sample for the outer kernel gradient and the inner relu mask (Chen et al. 2016)."""
     parents = (x, k0, b0, k1, b1)
     fx, fk0, fb0, fk1, fb1 = (Tensor(p.data) for p in parents)  # these convs record nothing
     inner = conv2d_relu(fx, fk0, fb0, 1, pad).data

@@ -4,8 +4,8 @@ Three stages of (conv3x3 + relu) x 2 followed by 2x2 max pooling leave the
 shared feature map at stride 8 over 64x64 inputs. The classification network
 adds one more 3x3 conv ("cam" tap), global average pooling, and a linear
 classifier; its attention maps later supervise the localization network.
-A stage's last two convs, relus and pool are one op, ``ad.conv2d_relu2_pool``,
-which rebuilds the map between the convs in backward (one conv: ``conv2d_relu_pool``).
+Each stage's two convs, relus and pool are one op, ``ad.conv2d_relu2_pool``,
+which rebuilds the map between the convs in backward.
 The forward passes take the images as an [N,3,H,W] array and return
 tensors: ``stage_forward`` one map per stage, ``maen_forward`` those maps,
 the cam map and the logits. A tap level names one of them ("mid" the
@@ -35,7 +35,6 @@ VALID_TAPS = ("mid", "late", "cam")
 class BackboneConfig:
     input_size: tuple = (64, 64)
     stage_channels: tuple = (16, 32, 64)
-    convs_per_stage: int = 2
     cam_channels: int = 128
     num_classes: int = 8
     tap_levels: tuple = ("late", "cam")
@@ -48,7 +47,7 @@ class BackboneConfig:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.stage_channels) < 2:
             raise ValueError("need at least two stages")
-        for key in ("stage_channels", "convs_per_stage", "cam_channels"):
+        for key in ("stage_channels", "cam_channels"):
             if np.min(getattr(self, key)) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for i, name in enumerate(self.tap_levels):
@@ -83,7 +82,7 @@ def init_stage_params(config: BackboneConfig, rng: np.random.Generator) -> dict:
     params = {}
     in_ch = 3
     for s, out_ch in enumerate(config.stage_channels):
-        for j in range(config.convs_per_stage):
+        for j in range(2):
             fan_in = in_ch * 9
             params[f"stages.{s}.conv{j}.weight"] = Tensor(
                 ad.fan_in_uniform(rng, (out_ch, in_ch, 3, 3), fan_in), requires_grad=True)
@@ -132,12 +131,9 @@ def stage_forward(params: dict, images: np.ndarray, config: BackboneConfig) -> l
     x = Tensor(images - images.mean(axis=(1, 2, 3), keepdims=True))
     outputs = []
     for s in range(len(config.stage_channels)):
-        convs = [(params[f"stages.{s}.conv{j}.weight"], params[f"stages.{s}.conv{j}.bias"])
-                 for j in range(config.convs_per_stage)]
-        for kernels, bias in convs[:-2]:
-            x = ad.conv2d_relu(x, kernels, bias, stride=1, pad=1)
-        x = (ad.conv2d_relu2_pool(x, *convs[-2], *convs[-1], pad=1) if len(convs) > 1
-             else ad.conv2d_relu_pool(x, *convs[0], stride=1, pad=1))
+        conv = f"stages.{s}.conv"
+        x = ad.conv2d_relu2_pool(x, params[conv + "0.weight"], params[conv + "0.bias"],
+                                 params[conv + "1.weight"], params[conv + "1.bias"], pad=1)
         outputs.append(x)
     return outputs
 

@@ -49,8 +49,8 @@ class TrainConfig:
         for key in ("batch_maen", "epochs_maen", "epochs_rpn", "epochs_heads"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"):
-            if getattr(self, key) < 0:  # one past the stage's last epoch is legal: no decay
+        for key in ("seed", "decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"):
+            if getattr(self, key) < 0:  # a decay epoch past the stage's last is legal: no decay
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 

@@ -46,6 +46,8 @@ class HeadConfig:
             raise ValueError(f"fg_fraction must lie in [0, 1], got {self.fg_fraction}")
         if not 0.0 < self.fg_iou <= 1.0:
             raise ValueError(f"fg_iou must lie in (0, 1], got {self.fg_iou}")
+        if len(self.roi_out) != 2:
+            raise ValueError(f"roi_out must have two entries, got {self.roi_out}")
         if min(self.rois_per_image, self.hidden, *self.roi_out) < 1:
             raise ValueError(f"rois_per_image, hidden and each roi_out entry must be >= 1, got "
                              f"{self.rois_per_image}, {self.hidden}, {self.roi_out}")

@@ -76,7 +76,7 @@ class GenConfig:
                     raise ValueError(
                         f"glyph codebook violation: patterns {i} and {j} have Hamming "
                         f"distance {d} < {MIN_CODEBOOK_DISTANCE}")
-        for key in ("train_count", "test_count", "clutter_density", "noise_span"):
+        for key in ("train_count", "test_count", "clutter_density", "noise_span", "seed"):
             if getattr(self, key) < 0:  # a split of 0 images is legal
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         # _render_sample draws each half-axis a from object_fraction of half the side,

@@ -42,7 +42,8 @@ def test_summary_of_synthetic_pairs():
         outputs["w", seed, "change"] = _line((2.0 + 0.01 * seed) * 1.1, 150.0, 0.12)
     outputs["w", 2, "change"] = _line(2.02 * 1.1, 150.0, 0.12, failed=3)  # 3 operations failed
     outputs["w", 5, "change"] = (1, "Traceback ...\n")  # the run itself failed
-    entry = _ab().summarize(SPEC, outputs)["w"]
+    ab = _ab()
+    entry = ab.summarize(SPEC, outputs)["w"]
 
     assert entry["seeds"] == [1, 2, 3, 4, 5]
     assert entry["attempted"] == {"parent": 500, "change": 400}
@@ -56,18 +57,24 @@ def test_summary_of_synthetic_pairs():
     assert train["change_better_pairs"] == 0  # the failed run's pair drops out
     assert train["ratio"]["median"] == pytest.approx(1.1, abs=1e-3)
     assert train["median_change_pct"] == 9.73  # 2.2275 (seeds 1-4) against 2.03 (seeds 1-5)
+    # lower is better: the minimum over the runs that finished
+    assert train["best"] == {"parent": 2.01, "change": pytest.approx(2.01 * 1.1)}
     assert not train["worse_than_bound"] and not train["unresolved"]
 
     rate = entry["metrics"]["img_per_s"]  # higher is better
     assert rate["change_better_pairs"] == 4
     assert rate["ratio"] == {"median": 1.5, "q1": 1.5, "q3": 1.5}
     assert rate["median_change_pct"] == 50.0 and not rate["worse_than_bound"]
+    assert rate["best"] == {"parent": 100.0, "change": 150.0}  # higher is better: the maximum
 
     setup = entry["metrics"]["setup_s"]  # parent spread wider than its bound
     assert setup["parent"] == {"median": 0.1, "q1": 0.1, "q3": 0.2, "quartile_spread": 0.1}
     assert setup["spread_exceeds_bound"] and setup["unresolved"]
     assert setup["change_better_pairs"] == 2  # seeds 2 and 4 read 0.20 at the parent
     assert setup["median_change_pct"] == 20.0 and not setup["worse_than_bound"]
+    assert setup["best"] == {"parent": 0.10, "change": 0.12}
+    assert ab._row("w", "setup_s", setup).startswith(
+        "w setup_s (s): 0.1 [0.1, 0.2] -> 0.12 [0.12, 0.12], best 0.1 -> 0.12, 20.0%, ")
 
 
 def test_a_change_worse_than_its_bound_is_flagged():

@@ -373,66 +373,13 @@ def _pool_conv_inputs(rng, n, dtype, special):
     return x.astype(dtype), kernels.astype(dtype), bias.astype(dtype)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 20])
-def test_conv2d_relu_pool_bitwise_equals_pool_of_conv2d_relu(dtype, n):
-    rng = np.random.default_rng(31)
-    # (kh, pad, stride) giving even conv extents on the 8x12 input
-    for kh, pad, stride in ((3, 1, 1), (3, 0, 1), (3, 1, 2), (1, 0, 1)):
-        for special in (False, True):
-            x, kernels, bias = _pool_conv_inputs(rng, n, dtype, special)
-            kernels = np.ascontiguousarray(kernels[:, :, :kh, :kh])
-            x_before = x.copy()
-            case = (kh, pad, stride, special)
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
-                frozen = ad.conv2d_relu_pool(Tensor(x), Tensor(kernels), Tensor(bias), stride, pad)
-                assert frozen._grad_fn is None and not frozen.requires_grad, case
-                g = _sprinkle(rng.normal(size=frozen.shape), rng).astype(dtype)
-                runs = []
-                for fused in (False, True):
-                    leaves = [Tensor(a, requires_grad=True) for a in (x, kernels, bias)]
-                    if fused:
-                        out = ad.conv2d_relu_pool(*leaves, stride, pad)
-                    else:
-                        out = ad.max_pool2d(ad.conv2d_relu(*leaves, stride, pad))
-                    loss = ad.sum_all(ad.mul_const(out, g))
-                    ad.backward(loss)
-                    first = [p.grad.copy() for p in leaves]
-                    ad.backward(loss)  # a second pass doubles every leaf gradient
-                    for p, once in zip(leaves, first):
-                        assert np.array_equal(_bits(p.grad), _bits(once + once)), case
-                    runs.append([out.data] + first)
-            for got, ref in zip(runs[1], runs[0]):
-                assert got.dtype == ref.dtype == dtype, case
-                assert np.array_equal(_bits(got), _bits(ref)), case
-            assert np.array_equal(_bits(frozen.data), _bits(runs[0][0])), case
-            assert np.array_equal(_bits(x), _bits(x_before)), case
-    assert np.isnan(runs[1][0]).any()  # the special inputs did reach NaN windows
-
-
-def test_conv2d_relu_pool_retains_pooled_output_and_one_code_per_element():
-    rng = np.random.default_rng(32)
-    x = t(rng.normal(size=(2, 8, 32, 32)))
-    k = t(rng.normal(size=(4, 8, 3, 3)))
-    b = t(rng.normal(size=4))
-    ad.conv2d_relu_pool(x, k, b, pad=1)  # warm-up: first-call allocations are not retained
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = ad.conv2d_relu_pool(x, k, b, pad=1)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    # the full-resolution conv output (4x the pooled bytes) is not kept
-    assert retained <= out.data.nbytes + out.data.size + 16 * 1024
-
-
-def test_conv2d_relu_pool_rejects_odd_extents():
-    x, k, b = t(np.zeros((1, 2, 5, 6))), t(np.zeros((3, 2, 3, 3))), t(np.zeros(3))
+def test_conv2d_relu2_pool_rejects_odd_extents():
+    x, k0, b = t(np.zeros((1, 2, 5, 6))), t(np.zeros((3, 2, 3, 3))), t(np.zeros(3))
+    k1 = t(np.zeros((3, 3, 3, 3)))
     with pytest.raises(ad.ShapeError, match="even extents, got 5x6"):
-        ad.conv2d_relu_pool(x, k, b, pad=1)
-    with pytest.raises(ad.ShapeError, match="even extents, got 3x4"):
-        ad.conv2d_relu_pool(x, k, b, pad=0)
+        ad.conv2d_relu2_pool(x, k0, b, k1, b, pad=1)
+    with pytest.raises(ad.ShapeError, match="even extents, got 3x4"):  # a 1x1 outer conv
+        ad.conv2d_relu2_pool(x, k0, b, t(np.zeros((3, 3, 1, 1))), b, pad=0)
 
 
 def _stage_pair(x, k0, b0, k1, b1, pad, g, frozen=()):
@@ -448,7 +395,7 @@ def _stage_pair(x, k0, b0, k1, b1, pad, g, frozen=()):
             out = ad.conv2d_relu2_pool(*leaves, pad=pad)
         else:
             inner = ad.conv2d_relu(*leaves[:3], 1, pad)
-            out = ad.conv2d_relu_pool(inner, *leaves[3:], 1, pad)
+            out = ad.max_pool2d(ad.conv2d_relu(inner, *leaves[3:], 1, pad))
         loss = ad.sum_all(ad.mul_const(out, g))
         ad.backward(loss)
         first = [None if p.grad is None else p.grad.copy() for p in leaves]
@@ -864,22 +811,6 @@ def test_gradcheck_max_pool():
         return ad.sum_all(ad.mul_const(ad.max_pool2d(x), weights))
 
     _check(build, params, 15)
-
-
-def test_gradcheck_conv2d_relu_pool():
-    weights = np.random.default_rng(34).normal(size=(2, 3, 2, 3))
-
-    def params(rng):
-        return (
-            t(rng.normal(size=(2, 2, 4, 6))),
-            t(rng.normal(size=(3, 2, 3, 3))),
-            t(rng.normal(size=3)),
-        )
-
-    def build(x, k, b):
-        return ad.sum_all(ad.mul_const(ad.conv2d_relu_pool(x, k, b, pad=1), weights))
-
-    _check(build, params, 35)
 
 
 def test_gradcheck_conv2d_relu2_pool():

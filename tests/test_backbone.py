@@ -170,18 +170,16 @@ def _reachable_arrays(roots) -> list:
     return list(arrays.values())
 
 
-@pytest.mark.parametrize("convs_per_stage", [1, 2, 3])
-def test_recorded_stage_forward_keeps_no_full_resolution_map_for_its_pool(convs_per_stage):
-    cfg = bb.BackboneConfig(num_classes=4, convs_per_stage=convs_per_stage)
+def test_recorded_stage_forward_keeps_no_full_resolution_map_for_its_pool():
+    cfg = bb.BackboneConfig(num_classes=4)
     params = bb.init_stage_params(cfg, np.random.default_rng(1))
     outputs = bb.stage_forward(params, _image_batch(2), cfg)
     arrays = _reachable_arrays(outputs)
     for out in outputs:
         n, c, h, w = out.shape
         full = [a for a in arrays if a.shape == (n, c, 2 * h, 2 * w)]
-        # only the convs before the stage's last two keep their maps: the last two
-        # rebuild their inner map in backward, and the last one pooled its own away
-        assert len(full) == max(convs_per_stage - 2, 0), out.shape
+        # a stage rebuilds its inner map in backward and pooled its outer one away
+        assert not full, out.shape
 
 
 # ---------------------------------------------------------------------------

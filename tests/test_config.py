@@ -4,13 +4,14 @@ import pytest
 
 from wsdl.config import RunConfig, TrainConfig, load_run_config
 
-# every key of a saved configuration; input_size and stride are derived, not keys
+# every key of a saved configuration; input_size and stride are derived, and two
+# convs per stage is fixed, not keys
 KEYS = [
     "anchors_per_image_sampled", "batch_maen", "cam_channels", "clutter_density",
-    "convs_per_stage", "decay_epoch_heads", "decay_epoch_maen", "decay_epoch_rpn",
-    "decay_factor", "epochs_heads", "epochs_maen", "epochs_rpn", "fg_fraction", "fg_iou",
-    "hidden", "image_size", "learning_rate", "loss_balance", "momentum", "neg_iou",
-    "nms_iou", "noise_span", "num_classes", "object_fraction", "pos_iou", "post_nms_top",
+    "decay_epoch_heads", "decay_epoch_maen", "decay_epoch_rpn", "decay_factor",
+    "epochs_heads", "epochs_maen", "epochs_rpn", "fg_fraction", "fg_iou", "hidden",
+    "image_size", "learning_rate", "loss_balance", "momentum", "neg_iou", "nms_iou",
+    "noise_span", "num_classes", "object_fraction", "pos_iou", "post_nms_top",
     "pre_nms_top", "ratios", "roi_out", "rois_per_image", "rpn_channels", "scales", "seed",
     "stage_channels", "tap_levels", "test_count", "train_count", "weight_decay",
 ]
@@ -56,7 +57,7 @@ def test_text_roundtrip(tmp_path):
     again = load_run_config(path)
     assert again.to_lines() == cfg.to_lines()
     assert [line.split(" = ")[0] for line in cfg.to_lines().splitlines()] == KEYS
-    assert sorted(RunConfig.default().schema()) == KEYS and len(KEYS) == 38
+    assert sorted(RunConfig.default().schema()) == KEYS and len(KEYS) == 37
     assert again.gen.train_count == 120
     assert again.backbone.num_classes == 4
 
@@ -107,7 +108,6 @@ def test_anchor_scales_and_ratios_must_be_positive(tmp_path, key, raw):
 
 
 @pytest.mark.parametrize("key, raw, error", [
-    ("convs_per_stage", "0", "convs_per_stage must be >= 1, got 0"),
     ("cam_channels", "0", "cam_channels must be >= 1, got 0"),
     ("cam_channels", "-1", "cam_channels must be >= 1, got -1"),
     ("stage_channels", "0,0,0", "stage_channels must be >= 1, got (0, 0, 0)"),
@@ -142,9 +142,11 @@ def test_sync_derived_follows_backbone(tmp_path):
 
 @pytest.mark.parametrize("key, raw", [
     ("input_size", "32,32"), ("input_size", "64,64"), ("stride", "4"), ("stride", "8"),
+    ("convs_per_stage", "2"),
 ])
 def test_derived_key_is_rejected_as_unknown(tmp_path, key, raw):
-    # even the value the derivation gives: a derived value is not an option
+    # even the value the derivation gives (two convs per stage is fixed): a derived
+    # or fixed value is not an option
     path = tmp_path / "run.cfg"
     path.write_text(f"seed = 3\n{key} = {raw}\n", encoding="utf-8")
     with pytest.raises(KeyError, match=re.escape(f"{path}:2: unknown configuration key: '{key}'")):
@@ -179,6 +181,7 @@ def test_negative_decay_epoch_rejected(key):
     ("epochs_heads", "0", "epochs_heads must be >= 1, got 0"),
     ("train_count", "-3", "train_count must be >= 0, got -3"),
     ("test_count", "-1", "test_count must be >= 0, got -1"),
+    ("seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_sync_derived_rejects_out_of_range_values_naming_the_key(key, raw, error):
     cfg = RunConfig.default()
@@ -201,6 +204,7 @@ def test_sync_derived_rejects_bad_head_fractions(key, raw):
     ("pre_nms_top", "0"), ("post_nms_top", "0"), ("anchors_per_image_sampled", "0"),
     ("rpn_channels", "0"), ("nms_iou", "-0.1"), ("nms_iou", "1.5"),
     ("rois_per_image", "0"), ("hidden", "0"), ("roi_out", "0,4"), ("roi_out", "4,0"),
+    ("roi_out", "1"), ("roi_out", "2,2,2"),
 ])
 def test_sync_derived_rejects_bad_anchor_and_head_counts(key, raw):
     cfg = RunConfig.default()
@@ -215,7 +219,7 @@ def test_sync_derived_rejects_bad_anchor_and_head_counts(key, raw):
     ("rois_per_image", "1"), ("hidden", "1"), ("roi_out", "1,1"),
     ("momentum", "0.0"), ("momentum", "0.999"), ("weight_decay", "0.0"),
     ("loss_balance", "0.0"), ("train_count", "0"), ("test_count", "0"),
-    ("convs_per_stage", "1"), ("cam_channels", "1"), ("stage_channels", "1,1,1"),
+    ("cam_channels", "1"), ("stage_channels", "1,1,1"), ("seed", "0"),
 ])
 def test_sync_derived_accepts_range_ends_and_defaults(key, raw):
     cfg = RunConfig.default()

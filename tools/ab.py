@@ -15,7 +15,9 @@ BLAS thread settings included; nothing under ``perfbench/`` or
 It writes ``BENCH_<TAG>.json`` in the change checkout and prints one row per
 workload and end-to-end metric. Per metric and side the file holds the median
 and quartiles over the side's runs (``statistics.quantiles(n=4)``, exclusive
-method), the pairs in which the change was better, the change of the medians
+method) and its best run (the minimum of a lower-is-better metric, else the
+maximum: the least noisy estimate on a loaded machine, after Chen and Revels
+2016), the pairs in which the change was better, the change of the medians
 in percent and the median and quartiles of the per-pair change/parent ratio.
 A metric is ``worse_than_bound`` when the change's median is worse than the
 parent's by more than the metric's bound, and ``unresolved`` when the parent's
@@ -68,9 +70,11 @@ def _metric(item: dict, parent: list, change: list) -> dict:
     """One end-to-end metric over paired runs; None marks a failed run."""
     lower = item["better"] == "lower"
     pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
-    sides = {side: _stats([v for v in runs if v is not None])
-             for side, runs in zip(SIDES, (parent, change))}
+    ran = {side: [v for v in runs if v is not None] for side, runs in zip(SIDES, (parent, change))}
+    sides = {side: _stats(ran[side]) for side in SIDES}
+    best = min if lower else max
     out = {"unit": item["unit"], "better": item["better"], "bound": item["bound"], **sides,
+           "best": {side: round(best(ran[side]), 4) if ran[side] else None for side in SIDES},
            "change_better_pairs": sum((c < p) if lower else (c > p) for p, c in pairs)}
     ratio = _stats([c / p for p, c in pairs if p])
     out["ratio"] = {k: ratio[k] for k in ("median", "q1", "q3")}
@@ -80,8 +84,8 @@ def _metric(item: dict, parent: list, change: list) -> dict:
         out["median_change_pct"] = round(100.0 * change_pct, 2)
         out["worse_than_bound"] = (change_pct if lower else -change_pct) > item["bound"]
         out["spread_exceeds_bound"] = sides["parent"]["quartile_spread"] / pm > item["bound"]
-        ran = ([v for v in parent if v is not None], [v for v in change if v is not None])
-        beats_all = (max(ran[1]) < min(ran[0])) if lower else (min(ran[1]) > max(ran[0]))
+        beats_all = ((max(ran["change"]) < min(ran["parent"])) if lower
+                     else (min(ran["change"]) > max(ran["parent"])))
         out["unresolved"] = out["spread_exceeds_bound"] and not beats_all
     else:  # a side has no run to compare
         out.update(median_change_pct=None, worse_than_bound=None, spread_exceeds_bound=None,
@@ -124,11 +128,12 @@ def _row(workload: str, name: str, m: dict) -> str:
     def side(s):
         return f"{s['median']} [{s['q1']}, {s['q3']}]"
 
-    r = m["ratio"]
+    r, best = m["ratio"], m["best"]
     flags = [flag for flag in ("worse_than_bound", "unresolved") if m.get(flag)]
     return (f"{workload} {name} ({m['unit']}): {side(m['parent'])} -> {side(m['change'])}, "
-            f"{m['median_change_pct']}%, change better in {m['change_better_pairs']}/"
-            f"{len(m['runs']['parent'])} pairs, ratio {r['median']} [{r['q1']}, {r['q3']}]"
+            f"best {best['parent']} -> {best['change']}, {m['median_change_pct']}%, "
+            f"change better in {m['change_better_pairs']}/{len(m['runs']['parent'])} pairs, "
+            f"ratio {r['median']} [{r['q1']}, {r['q3']}]"
             + (f"; {', '.join(flags)}" if flags else ""))
 
 

@@ -11,8 +11,9 @@ thread unless the environment sets the count. Each takes the training schedule
 to SHA-256 digests:
 
 - per training seed (``--seeds`` and ``--eval-seeds``): ``model_digest``,
-  every training log line and the bytes of every checkpoint file.
-  ``model_config.txt`` is left out, since it lists the configuration keys;
+  every training log line, named with its ``stage=K``, and the bytes of every
+  checkpoint file. ``model_config.txt`` is left out, since it lists the
+  configuration keys;
 - per test split (an eval seed's split of each ``--test-counts`` size) and
   per model of an eval seed: the ``ev.evaluate_model`` report JSON, and per
   image ``pl.infer``, ``pl.infer_separate`` and ``pl.maen_pseudo_box`` at
@@ -21,10 +22,11 @@ to SHA-256 digests:
 It prints ``bit-identical`` and exits 0 when both dumps hold the same
 entries with the same digests. Otherwise it exits 1: it names the first
 entry that differs or that only one side holds, then prints one line per
-entry kind (``model_digest``, ``log``, ``checkpoint``, ``evaluate_model``,
-``infer``, ``infer_separate``, ``maen_pseudo_box``) with how many entries
-are equal and how many differ, so that a change which moves some outputs
-shows which. 2 means a checkout failed to run. ``dump`` is the child's own
+entry kind (``model_digest``, ``log stage=K`` per training stage,
+``checkpoint FILE`` per checkpoint file, ``evaluate_model``, ``infer``,
+``infer_separate``, ``maen_pseudo_box``) with how many entries are equal and
+how many differ, so that a change which moves some outputs (say, only stage
+3's) shows which. 2 means a checkout failed to run. ``dump`` is the child's own
 command:
 
     python3 tools/bitcheck.py dump CHECKOUT OUT_JSON [options]
@@ -110,7 +112,7 @@ def dump(checkout: str, args, work: str) -> dict:
         pl.save_model(model, model_dir)
         entries[f"seed {seed}: model_digest"] = workloads.model_digest(model)
         for i, line in enumerate(log, 1):
-            entries[f"seed {seed}: log line {i}"] = _sha(line)
+            entries[f"seed {seed}: log {line.split()[0]} line {i}"] = _sha(line)
         for name in sorted(os.listdir(model_dir)):
             if name.endswith(".ckpt"):
                 with open(os.path.join(model_dir, name), "rb") as fh:
@@ -138,13 +140,16 @@ def dump(checkout: str, args, work: str) -> dict:
 
 
 def _kind(name: str) -> str:
-    """``seed 1: log line 3`` -> ``log``."""
-    return name.split(": ", 1)[1].split(" ")[0]
+    """``split 1/60, model 1: infer img_00000.ppm`` -> ``infer``; a log line or a
+    checkpoint keeps its stage or file: ``seed 1: log stage=2 line 9`` -> ``log stage=2``."""
+    words = name.split(": ", 1)[1].split(" ")
+    return " ".join(words[:2]) if words[0] in ("log", "checkpoint") else words[0]
 
 
 def compare(parent: dict, change: dict) -> int:
     """Print the verdict on two dumps; 0 when equal, else 1 naming the first difference
-    and tallying equal and differing entries per kind."""
+    and tallying equal and differing entries per kind, a training stage's log lines and
+    each checkpoint file apart."""
     names = list(parent) + [name for name in change if name not in parent]
     differ = {name for name in names if parent.get(name) != change.get(name)}
     tally = {}  # kind -> [equal, differing]
