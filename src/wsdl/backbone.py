@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_ranges
 
 CHECKPOINT_MAGIC = b"WSDL"
 CHECKPOINT_VERSION = 1
@@ -43,13 +44,9 @@ class BackboneConfig:
         self.input_size = tuple(self.input_size)
         self.stage_channels = tuple(self.stage_channels)
         self.tap_levels = tuple(self.tap_levels)
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_ranges(self)
         if len(self.stage_channels) < 2:
-            raise ValueError("need at least two stages")
-        for key in ("stage_channels", "cam_channels"):
-            if np.min(getattr(self, key)) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+            raise ValueError(f"stage_channels must have at least two entries, got {self.stage_channels}")
         for i, name in enumerate(self.tap_levels):
             if name not in VALID_TAPS:
                 raise ValueError(f"unknown tap level {name!r}, valid: {VALID_TAPS}")
@@ -57,7 +54,7 @@ class BackboneConfig:
                 raise ValueError(f"tap level {name!r} is repeated in {self.tap_levels}")
         down = 2 ** len(self.stage_channels)
         if self.input_size[0] % down or self.input_size[1] % down:
-            raise ValueError(f"input {self.input_size} not divisible by total stride {down}")
+            raise ValueError(f"image_size {self.input_size} not divisible by total stride {down}")
 
     def tap_stride(self, name: str) -> int:
         n = len(self.stage_channels)

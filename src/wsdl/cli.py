@@ -83,10 +83,10 @@ def build_parser() -> _Parser:
 
 
 def _build_config(args) -> RunConfig:
-    config = load_run_config(args.config) if args.config else RunConfig.default()
+    config = load_run_config(args.config) if args.config is not None else RunConfig.default()
     if args.seed is not None:
         config.set_key("seed", str(args.seed))
-    if args.levels:
+    if args.levels is not None:
         config.set_key("tap_levels", args.levels)
     config.sync_derived()
     return config

@@ -4,7 +4,7 @@ One RunConfig bundles the generator, training, backbone, anchor, and head
 configurations. Keys form the union of their field names; assigning a key
 updates every sub-configuration that carries the field, so e.g.
 ``num_classes`` stays consistent across the generator, the backbone, and
-the heads. Unknown keys are rejected.
+the heads. Unknown keys are rejected, and ``RANGES`` bounds each numeric key.
 """
 
 from __future__ import annotations
@@ -12,13 +12,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .backbone import BackboneConfig
-from .heads import HeadConfig
-from .rpn import AnchorConfig
-from .synthdata import GenConfig
-
 # glyphs is structured, not one line; sync_derived computes input_size and stride
 _EXCLUDED_FIELDS = {"glyphs", "input_size", "stride"}
+
+# key -> the range allowed for its value, or for every entry of a tuple key; checks that
+# span keys or fix a tuple's length stay in the sub-configs' __post_init__s
+RANGES = {key: rule for rule, keys in {
+    ">= 0": "clutter_density decay_epoch_heads decay_epoch_maen decay_epoch_rpn loss_balance "
+            "noise_span seed test_count train_count weight_decay",
+    ">= 1": "anchors_per_image_sampled batch_maen cam_channels epochs_heads epochs_maen "
+            "epochs_rpn hidden image_size post_nms_top pre_nms_top roi_out rois_per_image "
+            "rpn_channels stage_channels",
+    ">= 2": "num_classes", "> 0": "decay_factor learning_rate", "positive": "ratios scales",
+    "in [0, 1]": "fg_fraction nms_iou object_fraction", "in [0, 1)": "momentum neg_iou",
+    "in (0, 1]": "fg_iou pos_iou",
+}.items() for key in keys.split()}
+
+
+def _inside(rule: str, v) -> bool:
+    """Whether ``v`` satisfies ``rule``; a NaN fails every comparison, so every rule."""
+    op, _, bound = ("> 0" if rule == "positive" else rule).partition(" ")
+    if op != "in":
+        return v >= float(bound) if op == ">=" else v > float(bound)
+    lo, hi = (float(b) for b in bound[1:-1].split(", "))
+    return (lo < v if bound[0] == "(" else lo <= v) and (v < hi if bound[-1] == ")" else v <= hi)
+
+
+def check_ranges(sub):
+    """Raise ``ValueError`` naming the first field of ``sub`` outside its ``RANGES``
+    rule; every entry of a tuple must satisfy it."""
+    for f in fields(sub):
+        rule, value = RANGES.get(f.name), getattr(sub, f.name)
+        if rule and not all(_inside(rule, v) for v in (
+                value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{f.name} must be {rule}, got {value}")
 
 
 @dataclass
@@ -34,24 +61,12 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     decay_factor: float = 10.0   # learning rate divides by this once per stage
-    decay_epoch_maen: int = 20   # 0-based epoch at which the decay applies
+    decay_epoch_maen: int = 20   # 0-based epoch at which the decay applies; none if past the last
     decay_epoch_rpn: int = 0     # stages 2-3 fine-tune; epoch-0 decay puts them at lr/10
     decay_epoch_heads: int = 0
 
     def __post_init__(self):
-        for key in ("learning_rate", "decay_factor"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for key in ("batch_maen", "epochs_maen", "epochs_rpn", "epochs_heads"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("seed", "decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"):
-            if getattr(self, key) < 0:  # a decay epoch past the stage's last is legal: no decay
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        check_ranges(self)
 
 
 def _parse_like(template, raw: str):
@@ -90,7 +105,9 @@ class RunConfig:
 
     @classmethod
     def default(cls) -> "RunConfig":
-        return cls(GenConfig(), TrainConfig(), BackboneConfig(), AnchorConfig(), HeadConfig())
+        from . import backbone, heads, rpn, synthdata  # not at the top: each imports check_ranges
+        return cls(synthdata.GenConfig(), TrainConfig(), backbone.BackboneConfig(),
+                   rpn.AnchorConfig(), heads.HeadConfig())
 
     def subconfigs(self):
         return (self.gen, self.train, self.backbone, self.anchor, self.head)
@@ -107,26 +124,25 @@ class RunConfig:
 
     def set_key(self, key: str, raw: str):
         """Parse and assign one key across every sub-config carrying it."""
-        hit = False
-        for sub in self.subconfigs():
-            names = {f.name for f in fields(sub)}
-            if key in names and key not in _EXCLUDED_FIELDS:
-                if not hit:
-                    parsed = _parse_like(getattr(sub, key), raw)
-                setattr(sub, key, parsed)
-                hit = True
-        if not hit:
+        holders = [sub for sub in self.subconfigs() if key in {f.name for f in fields(sub)}]
+        if not holders or key in _EXCLUDED_FIELDS:
             raise KeyError(f"unknown configuration key: {key!r}")
+        try:
+            parsed = _parse_like(getattr(holders[0], key), raw)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key!r}: {exc}") from exc
+        for sub in holders:
+            setattr(sub, key, parsed)
 
     def sync_derived(self):
         """Derive ``input_size`` from ``image_size`` and ``stride`` from
         ``stage_channels``, share ``num_classes``, and re-run validation."""
+        self.gen = replace(self.gen)  # first: image_size's own errors before the stride's
         self.backbone.input_size = self.gen.image_size
         self.backbone.num_classes = self.gen.num_classes
         self.head.num_classes = self.gen.num_classes
         self.backbone = replace(self.backbone)
         self.anchor.stride = self.backbone.tap_stride("late")
-        self.gen = replace(self.gen)
         self.train = replace(self.train)
         self.anchor = replace(self.anchor)
         self.head = replace(self.head)
@@ -152,7 +168,7 @@ class RunConfig:
             except KeyError as exc:
                 raise KeyError(f"{source}:{line_no}: {exc.args[0]}") from exc
             except ValueError as exc:
-                raise ValueError(f"{source}:{line_no}: bad value for {key!r}: {exc}") from exc
+                raise ValueError(f"{source}:{line_no}: {exc}") from exc
             keys.append(key)
         for key in self.schema():
             if keys.count(key) > 1:

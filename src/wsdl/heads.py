@@ -24,6 +24,7 @@ from . import autodiff as ad
 from . import rpn
 from .attention import Box
 from .autodiff import Tensor
+from .config import check_ranges
 
 # added to a pooled RoI's RMS before dividing; keeps an all-zero RoI finite
 RMS_EPS = 1e-6
@@ -40,17 +41,9 @@ class HeadConfig:
 
     def __post_init__(self):
         self.roi_out = tuple(self.roi_out)
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not 0.0 <= self.fg_fraction <= 1.0:
-            raise ValueError(f"fg_fraction must lie in [0, 1], got {self.fg_fraction}")
-        if not 0.0 < self.fg_iou <= 1.0:
-            raise ValueError(f"fg_iou must lie in (0, 1], got {self.fg_iou}")
+        check_ranges(self)
         if len(self.roi_out) != 2:
             raise ValueError(f"roi_out must have two entries, got {self.roi_out}")
-        if min(self.rois_per_image, self.hidden, *self.roi_out) < 1:
-            raise ValueError(f"rois_per_image, hidden and each roi_out entry must be >= 1, got "
-                             f"{self.rois_per_image}, {self.hidden}, {self.roi_out}")
 
     @property
     def background(self) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_ranges
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
 
@@ -37,22 +38,13 @@ class AnchorConfig:
     def __post_init__(self):
         self.scales = tuple(float(s) for s in self.scales)
         self.ratios = tuple(float(r) for r in self.ratios)
-        for key in ("scales", "ratios"):
-            if not all(v > 0 for v in getattr(self, key)):  # a NaN fails it too
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        check_ranges(self)
         if len(self.scales) * len(self.ratios) != 9:
             raise ValueError(
                 f"expected 9 anchors from 3 scales x 3 ratios, got "
                 f"{len(self.scales)} x {len(self.ratios)}")
-        if not 0.0 <= self.neg_iou < self.pos_iou <= 1.0:
-            raise ValueError(f"need 0 <= neg_iou < pos_iou <= 1, got {self.neg_iou}, {self.pos_iou}")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou}")
-        if not self.loss_balance >= 0:
-            raise ValueError(f"loss_balance must be >= 0, got {self.loss_balance}")
-        for name in ("pre_nms_top", "post_nms_top", "anchors_per_image_sampled", "rpn_channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.neg_iou < self.pos_iou:
+            raise ValueError(f"need neg_iou < pos_iou, got {self.neg_iou}, {self.pos_iou}")
 
     @property
     def anchors_per_cell(self) -> int:

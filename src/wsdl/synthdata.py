@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import Box
+from .config import check_ranges
 
 GLYPH_SIZE = 5
 GLYPH_PIXEL_SCALE = 2        # each pattern cell covers 2x2 pixels
@@ -65,9 +66,9 @@ class GenConfig:
         self.image_size = tuple(self.image_size)
         self.object_fraction = tuple(self.object_fraction)
         self.glyphs = tuple(np.asarray(g, dtype=bool) for g in self.glyphs)
-        if self.num_classes < 2 or self.num_classes > len(self.glyphs):
-            raise ValueError(
-                f"num_classes must be in [2, {len(self.glyphs)}], got {self.num_classes}")
+        check_ranges(self)
+        if self.num_classes > len(self.glyphs):
+            raise ValueError(f"num_classes must be in [2, {len(self.glyphs)}], got {self.num_classes}")
         used = self.glyphs[: self.num_classes]
         for i in range(len(used)):
             for j in range(i + 1, len(used)):
@@ -76,16 +77,13 @@ class GenConfig:
                     raise ValueError(
                         f"glyph codebook violation: patterns {i} and {j} have Hamming "
                         f"distance {d} < {MIN_CODEBOOK_DISTANCE}")
-        for key in ("train_count", "test_count", "clutter_density", "noise_span", "seed"):
-            if getattr(self, key) < 0:  # a split of 0 images is legal
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         # _render_sample draws each half-axis a from object_fraction of half the side,
         # at least GLYPH_HALF * 1.7, then its centre from uniform(a + 1, side - a - 1)
         least = 2 * (GLYPH_HALF * 1.7 + 1)
         if len(self.image_size) != 2 or min(self.image_size) < least:
-            raise ValueError(f"image_size sides must be >= {least:g}, got {self.image_size}")
+            raise ValueError(f"image_size must be two sides, each >= {least:g}, got {self.image_size}")
         frac = self.object_fraction
-        if (len(frac) != 2 or not 0 <= frac[0] <= frac[1]
+        if (len(frac) != 2 or not frac[0] <= frac[1]
                 or any(s - frac[1] * s / 2.0 - 1 < frac[1] * s / 2.0 + 1 for s in self.image_size)):
             raise ValueError(f"object_fraction must be lo,hi with 0 <= lo <= hi <= 1 - 2 / side "
                              f"for image_size {self.image_size}, got {frac}")

@@ -76,6 +76,14 @@ def test_summary_of_synthetic_pairs():
     assert ab._row("w", "setup_s", setup).startswith(
         "w setup_s (s): 0.1 [0.1, 0.2] -> 0.12 [0.12, 0.12], best 0.1 -> 0.12, 20.0%, ")
 
+    # the record keeps the BLAS thread settings the change's runs inherited
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+           "WSDL_THREADS": None}
+    facts = {"nproc": 2, "numpy": "2.4.6", "blas": {"name": "scipy-openblas", "version": "0.3.31"},
+             "thread_env": env}
+    assert ab.machine(facts) == {"nproc": 2, "python": None, "numpy": "2.4.6", "thread_env": env,
+                                 "blas": "scipy-openblas 0.3.31"}
+
 
 def test_a_change_worse_than_its_bound_is_flagged():
     outputs = {}

@@ -296,6 +296,9 @@ def test_model_commands_reject_configuration_flags(cli_pipeline, tmp_path, cli_c
 
 @pytest.mark.parametrize("levels, error", [
     ("late,bogus", "unknown tap level 'bogus'"), ("cam,cam", "tap level 'cam' is repeated"),
+    # a given empty flag is given, not left at the default
+    ("", "bad value for 'tap_levels': expected a comma-separated list"),
+    (",", "bad value for 'tap_levels': expected a comma-separated list"),
 ])
 def test_train_rejects_unknown_or_repeated_level(tmp_path, capsys, levels, error):
     out = tmp_path / "model"
@@ -346,3 +349,7 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert run(["gen-data", "--out", str(tmp_path / "x"), "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}:2: unknown configuration key: 'mystery_knob'\n"
+    # an empty --config names no file; it does not fall back to the defaults
+    assert run(["gen-data", "--out", str(tmp_path / "x"), "--config", ""]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert not (tmp_path / "x").exists()

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from wsdl.config import RunConfig, TrainConfig, load_run_config
+from wsdl.config import RANGES, RunConfig, TrainConfig, _inside, load_run_config
 
 # every key of a saved configuration; input_size and stride are derived, and two
 # convs per stage is fixed, not keys
@@ -226,3 +226,38 @@ def test_sync_derived_accepts_range_ends_and_defaults(key, raw):
     cfg.sync_derived()
     cfg.set_key(key, raw)
     cfg.sync_derived()
+
+
+def _entries(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+SCHEMA = RunConfig.default().schema()
+NUMERIC = sorted(k for k, v in SCHEMA.items() if all(isinstance(e, (int, float))
+                                                     for e in _entries(v)))
+
+
+def test_every_numeric_key_has_a_range():
+    # a key added without a range fails here; tap_levels is the one key of names
+    assert NUMERIC == sorted(RANGES) and len(NUMERIC) == len(KEYS) - 1
+
+
+def _trials(template) -> list:
+    """0 and -1 (in every entry of a tuple key), then a tuple key with one entry
+    and with one entry too many."""
+    if not isinstance(template, tuple):
+        return ["0", "-1"]
+    return [",".join([raw] * len(template)) for raw in ("0", "-1")] + [
+        ",".join(map(str, entries)) for entries in (template[:1], template + template[:1])]
+
+
+@pytest.mark.parametrize("key, raw", [(k, raw) for k in NUMERIC for raw in _trials(SCHEMA[k])])
+def test_each_value_is_inside_its_range_or_fails_naming_its_key(key, raw):
+    cfg = RunConfig.default()
+    cfg.set_key(key, raw)
+    try:
+        cfg.sync_derived()
+    except ValueError as exc:
+        assert re.search(rf"\b{key}\b", str(exc)), str(exc)
+    else:
+        assert all(_inside(RANGES[key], v) for v in _entries(cfg.schema()[key]))

@@ -19,6 +19,7 @@ def cfg():
 
 @pytest.mark.parametrize("kwargs", [
     {"fg_fraction": 3.0}, {"fg_fraction": -0.1}, {"fg_iou": 0.0}, {"fg_iou": 1.5},
+    {"fg_iou": math.nan},  # a NaN fails every range
 ])
 def test_config_rejects_out_of_range_fractions(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -13,12 +13,14 @@ BLAS thread settings included; nothing under ``perfbench/`` or
 ``BENCHMARK.json`` is written, apart from perfbench's own ``perfbench/out/``.
 
 It writes ``BENCH_<TAG>.json`` in the change checkout and prints one row per
-workload and end-to-end metric. Per metric and side the file holds the median
-and quartiles over the side's runs (``statistics.quantiles(n=4)``, exclusive
-method) and its best run (the minimum of a lower-is-better metric, else the
-maximum: the least noisy estimate on a loaded machine, after Chen and Revels
-2016), the pairs in which the change was better, the change of the medians
-in percent and the median and quartiles of the per-pair change/parent ratio.
+workload and end-to-end metric. Its ``machine`` is the change side's, with
+the BLAS thread variables that side's runs saw (``thread_env``). Per metric
+and side the file holds the median and quartiles over the side's runs
+(``statistics.quantiles(n=4)``, exclusive method) and its best run (the
+minimum of a lower-is-better metric, else the maximum: the least noisy
+estimate on a loaded machine, after Chen and Revels 2016), the pairs in which
+the change was better, the change of the medians in percent and the median
+and quartiles of the per-pair change/parent ratio.
 A metric is ``worse_than_bound`` when the change's median is worse than the
 parent's by more than the metric's bound, and ``unresolved`` when the parent's
 quartile spread exceeds that bound, unless every change run beats every
@@ -137,6 +139,14 @@ def _row(workload: str, name: str, m: dict) -> str:
             + (f"; {', '.join(flags)}" if flags else ""))
 
 
+def machine(facts: dict) -> dict:
+    """The record's ``machine`` from one side's perfbench facts, with its BLAS
+    library and the thread settings (``thread_env``) its runs inherited."""
+    blas = facts.get("blas") or {}
+    return {**{k: facts.get(k) for k in ("nproc", "python", "numpy", "thread_env")},
+            "blas": " ".join(str(blas.get(k)) for k in ("name", "version"))}
+
+
 def _commit(checkout: str):
     proc = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=False)
@@ -170,7 +180,6 @@ def main(argv=None) -> int:
     first = {side: parse_output(*outputs[spec["workloads"][0]["name"], SEEDS[0], side]) or {}
              for side in SIDES}
     facts = {side: first[side].get("facts", {}) for side in SIDES}
-    blas = facts["change"].get("blas") or {}
     record = {
         "tag": args.tag,
         "parent_commit": _commit(roots["parent"]),
@@ -179,8 +188,7 @@ def main(argv=None) -> int:
                  "first, even seeds the change",
         "quartiles": "statistics.quantiles(n=4), exclusive method, over the runs of a side",
         "src_lines": {side: facts[side].get("src_lines") for side in SIDES},
-        "machine": {**{k: facts["change"].get(k) for k in ("nproc", "python", "numpy")},
-                    "blas": " ".join(str(blas.get(k)) for k in ("name", "version"))},
+        "machine": machine(facts["change"]),
         "workloads": workloads,
         "claim": None,
     }
