@@ -298,26 +298,20 @@ def conv2d_relu2_pool(x: Tensor, k0: Tensor, b0: Tensor, k1: Tensor, b1: Tensor,
     def inner_maps(masks):  # rebuilt per sample, each first masking its row of ``masks``
         for s in range(x.shape[0]):
             ys = conv2d_relu(Tensor(x.data[s : s + 1]), fk0, fb0, 1, pad).data[0]
-            if masks is not None:
-                np.multiply(masks[s], ys > 0, out=masks[s])
+            np.multiply(masks[s], ys > 0, out=masks[s])
             yield ys
 
     def grad_fn(g):
         gy = _unpool(np.multiply(np.asarray(g, dtype=pooled.dtype), codes >= 16), codes, shape)
         del g  # freed before the col2im
-        need = [p.requires_grad for p in parents]
-        gin = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (any(need[:3]), False, False), ())[0]
+        gin = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (True, False, False), ())[0]
         columns = _sample_columns(inner_maps(gin), *k1.shape[2:], 1, pad, *shape[2:])
-        _, gk1, gb1 = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (False, *need[3:]), columns)
+        _, gk1, gb1 = _conv_grads(gy, k1.data, inner_shape, dtype, 1, pad, (False, True, True), columns)
         del gy
-        if gin is None:
-            return None, None, None, gk1, gb1
-        if not need[3]:  # no outer kernel gradient drew the rebuilt maps, so gin is unmasked
-            for _ in inner_maps(gin):
-                pass
         gin = np.ascontiguousarray(gin)  # frees the padded gradient before the inner backward
         columns = _sample_columns(x.data, *k0.shape[2:], 1, pad, *inner_shape[2:])
-        return _conv_grads(gin, k0.data, x.shape, x.data.dtype, 1, pad, need[:3], columns) + (gk1, gb1)
+        return _conv_grads(gin, k0.data, x.shape, x.data.dtype, 1, pad, tuple(
+            p.requires_grad for p in parents[:3]), columns) + (gk1, gb1)
 
     return _make(pooled, parents, grad_fn)
 

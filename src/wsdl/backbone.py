@@ -204,13 +204,17 @@ def load_checkpoint(path) -> Checkpoint:
     version, count = take("<I")[0], take("<I")[0]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    ckpt = Checkpoint()
+    ckpt, seen = Checkpoint(), set()
     for _ in range(count):
         (name_len,) = take("<H")
         if off + name_len > len(data):
             raise ValueError(f"{path}: truncated checkpoint name")
         name = data[off : off + name_len].decode("utf-8")
         off += name_len
+        entry = _STAGE_TAG_PREFIX if name.startswith(_STAGE_TAG_PREFIX) else name
+        if entry in seen:
+            raise ValueError(f"{path}: repeated entry {name!r}")
+        seen.add(entry)
         (rank,) = take("<B")
         dims = take(f"<{rank}I") if rank else ()
         nbytes = 4 * math.prod(dims)

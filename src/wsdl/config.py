@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-# glyphs is structured, not one line; sync_derived computes input_size and stride
-_EXCLUDED_FIELDS = {"glyphs", "input_size", "stride"}
+# sync_derived computes input_size and stride
+_EXCLUDED_FIELDS = {"input_size", "stride"}
 
 # key -> the range allowed for its value, or for every entry of a tuple key; checks that
 # span keys or fix a tuple's length stay in the sub-configs' __post_init__s

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ GLYPH_SIZE = 5
 GLYPH_PIXEL_SCALE = 2        # each pattern cell covers 2x2 pixels
 GLYPH_HALF = GLYPH_SIZE * GLYPH_PIXEL_SCALE // 2
 GLYPH_COLOR = (20, 20, 20)   # darker than anything else in the image
-MIN_CODEBOOK_DISTANCE = 6
 
 _DEFAULT_GLYPHS = (
     "11111 00100 00100 00100 00100",  # T
@@ -40,14 +39,8 @@ _DEFAULT_GLYPHS = (
     "10001 10001 11111 10001 10001",  # H
     "11111 10000 11110 10000 11111",  # E
 )
-
-
-def _parse_pattern(spec: str) -> np.ndarray:
-    return np.array([[int(c) for c in row] for row in spec.split()], dtype=bool)
-
-
-def default_codebook() -> tuple:
-    return tuple(_parse_pattern(s) for s in _DEFAULT_GLYPHS)
+# class label -> its [5,5] bool pattern; generate_dataset renders at most this many classes
+GLYPHS = tuple(np.array([[c == "1" for c in row] for row in s.split()]) for s in _DEFAULT_GLYPHS)
 
 
 @dataclass
@@ -59,24 +52,12 @@ class GenConfig:
     object_fraction: tuple = (0.3, 0.6)  # object diameter as a fraction of the image
     clutter_density: int = 6             # clutter shapes per image
     noise_span: int = 5                  # uniform +/- pixel noise on non-glyph content
-    glyphs: tuple = field(default_factory=default_codebook)
     seed: int = 7
 
     def __post_init__(self):
         self.image_size = tuple(self.image_size)
         self.object_fraction = tuple(self.object_fraction)
-        self.glyphs = tuple(np.asarray(g, dtype=bool) for g in self.glyphs)
         check_ranges(self)
-        if self.num_classes > len(self.glyphs):
-            raise ValueError(f"num_classes must be in [2, {len(self.glyphs)}], got {self.num_classes}")
-        used = self.glyphs[: self.num_classes]
-        for i in range(len(used)):
-            for j in range(i + 1, len(used)):
-                d = int((used[i] != used[j]).sum())
-                if d < MIN_CODEBOOK_DISTANCE:
-                    raise ValueError(
-                        f"glyph codebook violation: patterns {i} and {j} have Hamming "
-                        f"distance {d} < {MIN_CODEBOOK_DISTANCE}")
         # _render_sample draws each half-axis a from object_fraction of half the side,
         # at least GLYPH_HALF * 1.7, then its centre from uniform(a + 1, side - a - 1)
         least = 2 * (GLYPH_HALF * 1.7 + 1)
@@ -165,7 +146,7 @@ def _render_sample(rng: np.random.Generator, label: int, config: GenConfig):
         if fits(tx, ty):
             gx, gy = tx, ty
             break
-    _stamp_glyph(img, config.glyphs[label], gx, gy)
+    _stamp_glyph(img, GLYPHS[label], gx, gy)
 
     cols = np.flatnonzero(obj_mask.any(axis=0))
     rows = np.flatnonzero(obj_mask.any(axis=1))
@@ -217,6 +198,9 @@ def image_to_float(img: np.ndarray) -> np.ndarray:
 
 def generate_dataset(config: GenConfig, out_dir):
     """Write train/ and test/ splits; byte-for-byte deterministic in the seed."""
+    if config.num_classes > len(GLYPHS):
+        raise ValueError(f"num_classes must be in [2, {len(GLYPHS)}] to generate a dataset, "
+                         f"got {config.num_classes}")
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     for split, count in (("train", config.train_count), ("test", config.test_count)):
         split_dir = os.path.join(out_dir, split)
@@ -245,7 +229,7 @@ def generate_dataset(config: GenConfig, out_dir):
 
 def load_labels(split_dir) -> list:
     path = os.path.join(split_dir, "labels.tsv")
-    out = []
+    out = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -253,14 +237,17 @@ def load_labels(split_dir) -> list:
                     continue
                 try:
                     name, label = line.rstrip("\n").split("\t")
-                    out.append((name, int(label)))
+                    cls = int(label)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: malformed label line") from exc
-                if out[-1][1] < 0:
+                if cls < 0:
                     raise ValueError(f"{path}:{line_no}: negative class label {label}")
+                if name in out:
+                    raise ValueError(f"{path}:{line_no}: repeated file {name}")
+                out[name] = cls
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"missing labels file: {path}") from exc
-    return out
+    return list(out.items())
 
 
 @dataclass(eq=False)

@@ -216,6 +216,26 @@ def test_checkpoint_magic_and_truncation_errors(tmp_path):
         bb.load_checkpoint(trunc)
 
 
+def test_checkpoint_repeated_entry_rejected(tmp_path):
+    ckpt = bb.Checkpoint(params={"a": np.ones(2, np.float32), "b": np.zeros(2, np.float32)},
+                         stage_tag="x")
+    good = tmp_path / "good.ckpt"
+    bb.save_checkpoint(ckpt, good)
+    raw = good.read_bytes()
+
+    def entry(name, values):  # one entry as save_checkpoint writes it
+        return (struct.pack("<H", len(name)) + name.encode() + struct.pack("<BI", 1, len(values))
+                + np.asarray(values, "<f4").tobytes())
+
+    count = struct.pack("<I", 4)  # the three entries written, plus one appended
+    for name, values in (("a", [5.0, 6.0]), ("stage:y", [])):
+        path = tmp_path / f"twice_{name[0]}.ckpt"
+        path.write_bytes(raw[:8] + count + raw[12:] + entry(name, values))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: repeated entry '{name}'"):
+            bb.load_checkpoint(path)
+    assert np.array_equal(bb.load_checkpoint(good).params["a"], [1.0, 1.0])
+
+
 def test_checkpoint_dims_whose_product_overflows_int64_are_truncation(tmp_path):
     # 65536**4 == 2**64: an int64 product wraps to 0 elements
     path = tmp_path / "huge.ckpt"

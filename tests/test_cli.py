@@ -343,6 +343,38 @@ def test_gen_data_rejects_a_negative_split_count(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_rejects_more_classes_than_glyphs(tmp_path, capsys):
+    cfg = tmp_path / "nine.cfg"
+    cfg.write_text("num_classes = 9\n")
+    out = tmp_path / "data"
+    assert run(["gen-data", "--out", str(out), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: num_classes must be in [2, 8] to generate a dataset, got 9\n")
+    assert not out.exists()
+
+
+def test_a_ten_class_split_trains_reloads_infers_and_evaluates(tmp_path, cli_cfg, capsys):
+    # the renderer draws 8 glyphs at most, so a generated split is relabelled to classes 0-9
+    data, model, rep = tmp_path / "data", tmp_path / "model", tmp_path / "rep"
+    small = _write_cfg(tmp_path / "small.cfg", train_count=20, test_count=10)
+    assert run(["gen-data", "--out", str(data), "--config", str(small)]) == 0
+    for split in ("train", "test"):
+        labels = data / split / "labels.tsv"
+        names = [line.split("\t")[0] for line in labels.read_text().splitlines()]
+        labels.write_text("".join(f"{name}\t{i % 10}\n" for i, name in enumerate(names)))
+    assert run(["train", "--data", str(data), "--out", str(model), "--config", str(cli_cfg)]) == 0
+    assert "num_classes = 10" in (model / "model_config.txt").read_text().splitlines()
+    assert pl.load_model(model).config.head.num_classes == 10
+    capsys.readouterr()
+    assert run(["infer", "--model", str(model), "--data", str(data)]) == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(docs) == 10 and all(len(doc["fused_scores"]) == 10 for doc in docs)
+    assert run(["eval", "--data", str(data), "--model", str(model), "--out", str(rep)]) == 0
+    confusion = json.loads((rep / "report.json").read_text())["confusion"]
+    assert [len(row) for row in confusion] == [10] * 10
+    assert sum(map(sum, confusion)) == 10
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("seed = 3\nmystery_knob = 5\n")

@@ -29,18 +29,20 @@ def small_dataset(tmp_path_factory):
 
 
 def test_default_codebook_distances():
-    book = sd.default_codebook()
+    book = sd.GLYPHS
     assert len(book) == 8
     for i in range(len(book)):
+        assert book[i].dtype == bool and book[i].shape == (sd.GLYPH_SIZE, sd.GLYPH_SIZE)
         for j in range(i + 1, len(book)):
-            assert (book[i] != book[j]).sum() >= sd.MIN_CODEBOOK_DISTANCE
+            assert (book[i] != book[j]).sum() >= 6  # the pairwise Hamming distance
 
 
-def test_codebook_violation_rejected():
-    bad = list(sd.default_codebook())
-    bad[1] = bad[0].copy()
-    with pytest.raises(ValueError, match="codebook"):
-        sd.GenConfig(num_classes=8, glyphs=tuple(bad))
+def test_generating_more_classes_than_glyphs_rejected_before_writing(tmp_path):
+    config = sd.GenConfig(num_classes=9, train_count=2, test_count=2)  # models take any count
+    with pytest.raises(ValueError, match=r"num_classes must be in \[2, 8\] to generate a "
+                                         r"dataset, got 9"):
+        sd.generate_dataset(config, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_counts_and_class_balance(small_dataset):
@@ -80,12 +82,12 @@ def test_glyph_fully_inside_object_box(small_dataset):
 
 
 def test_template_oracle_is_perfect(small_dataset):
-    out, config = small_dataset
+    out, _ = small_dataset
     for split in ("train", "test"):
         anns = sd.load_annotations(os.path.join(out, split))
         for name, label in sd.load_labels(os.path.join(out, split)):
             img = sd.read_ppm(os.path.join(out, split, name))
-            got = template_classify(img, anns[name].part_points[0], config.glyphs)
+            got = template_classify(img, anns[name].part_points[0], sd.GLYPHS)
             assert got == label
 
 
@@ -205,6 +207,14 @@ def test_malformed_lines_error(tmp_path):
     (split / "annotations.tsv").write_text("img.ppm\t1 2 3\t4,5\n")
     with pytest.raises(ValueError, match="annotations.tsv:1"):
         sd.load_annotations(split)
+
+
+def test_a_file_listed_twice_in_labels_rejected(tmp_path):
+    sd.generate_dataset(sd.GenConfig(num_classes=2, train_count=2, test_count=0), tmp_path)
+    labels = tmp_path / "train" / "labels.tsv"
+    labels.write_text(labels.read_text() + "img_00000.ppm\t1\n")  # once as class 0, once as 1
+    with pytest.raises(ValueError, match=r"labels\.tsv:3: repeated file img_00000\.ppm"):
+        sd.TrainView(tmp_path / "train")
 
 
 BAD_GEN_VALUES = [
