@@ -22,7 +22,10 @@ from .config import RunConfig, load_run_config
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (not 2) on usage errors."""
+    """argparse that exits 1 (not 2) on usage errors and expands no abbreviated option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -58,7 +61,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train stage-wise on a dataset")
     _add_common(p, "data", "out")
     _add_config(p)
-    p.add_argument("--stage", choices=("maen", "rpn", "heads", "all"), default="all",
+    p.add_argument("--stage", choices=("rpn", "heads", "all"), default="all",
                    help="first stage to train; every later stage is retrained, "
                         "earlier ones are loaded from --out")
     p.set_defaults(handler=_cmd_train)
@@ -76,8 +79,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="shared-pathway vs separate-network throughput")
     _add_common(p, "data", "model")
-    p.add_argument("--mode", choices=("shared", "separate", "both"), default="both")
-    p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(handler=_cmd_bench)
     return parser
 
@@ -189,10 +190,8 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     model = pl.load_model(args.model)
     view = sd.TrainView(os.path.join(args.data, "test"))
-    modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
-    result = {mode: ev.bench(model, view.images[:], mode, repeats=args.repeats) for mode in modes}
-    if len(modes) == 2:
-        result["ratio"] = result["shared"] / result["separate"]
+    result = {mode: ev.bench(model, view.images[:], mode) for mode in ("shared", "separate")}
+    result["ratio"] = result["shared"] / result["separate"]
     print(json.dumps(result, sort_keys=True))
     return 0
 

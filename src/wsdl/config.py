@@ -18,13 +18,12 @@ _EXCLUDED_FIELDS = {"input_size", "stride"}
 # key -> the range allowed for its value, or for every entry of a tuple key; checks that
 # span keys or fix a tuple's length stay in the sub-configs' __post_init__s
 RANGES = {key: rule for rule, keys in {
-    ">= 0": "clutter_density decay_epoch_heads decay_epoch_maen decay_epoch_rpn loss_balance "
-            "noise_span seed test_count train_count weight_decay",
+    ">= 0": "decay_epoch_maen loss_balance seed test_count train_count weight_decay",
     ">= 1": "anchors_per_image_sampled batch_maen cam_channels epochs_heads epochs_maen "
             "epochs_rpn hidden image_size post_nms_top pre_nms_top roi_out rois_per_image "
             "rpn_channels stage_channels",
     ">= 2": "num_classes", "> 0": "decay_factor learning_rate", "positive": "ratios scales",
-    "in [0, 1]": "fg_fraction nms_iou object_fraction", "in [0, 1)": "momentum neg_iou",
+    "in [0, 1]": "fg_fraction nms_iou", "in [0, 1)": "momentum neg_iou",
     "in (0, 1]": "fg_iou pos_iou",
 }.items() for key in keys.split()}
 
@@ -60,10 +59,8 @@ class TrainConfig:
     learning_rate: float = 0.02  # from-scratch training; fine-tuning setups use far less
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    decay_factor: float = 10.0   # learning rate divides by this once per stage
-    decay_epoch_maen: int = 20   # 0-based epoch at which the decay applies; none if past the last
-    decay_epoch_rpn: int = 0     # stages 2-3 fine-tune; epoch-0 decay puts them at lr/10
-    decay_epoch_heads: int = 0
+    decay_factor: float = 10.0   # stage 1 divides its rate by this once; stages 2-3 run at lr/this
+    decay_epoch_maen: int = 20   # 0-based epoch of stage 1's decay; none if past the last
 
     def __post_init__(self):
         check_ranges(self)

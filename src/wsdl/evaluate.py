@@ -140,6 +140,9 @@ def evaluate_model(model: pl.TrainedModel, test_dir) -> EvalReport:
     """Run inference over a test split and score it against the annotations."""
     view = sd.TrainView(test_dir)
     annotations = sd.load_annotations(test_dir)
+    for name in view.filenames:
+        if name not in annotations:
+            raise ValueError(f"{os.path.join(test_dir, 'annotations.tsv')}: no annotation for {name}")
     levels = list(model.levels)
     num_classes = model.config.backbone.num_classes
 

@@ -114,20 +114,19 @@ def _head_step(params: dict, opt: ad.SGD, pooled: np.ndarray, cls_t: np.ndarray,
     return loss, 1, int((scores.data.argmax(axis=1) == cls_t).sum()), len(cls_t)
 
 
-def _epochs(stage: str, config: RunConfig, opts, steps, n: int, log_fn):
+def _epochs(stage: str, config: RunConfig, steps, n: int, log_fn, decayed=None):
     """The schedule of every stage: each of ``epochs_<stage>`` epochs runs the
     steps that ``steps(perm)`` yields for a fresh permutation of the ``n``
-    training images. At epoch ``decay_epoch_<stage>`` every optimizer of
-    ``opts`` divides its learning rate by ``decay_factor``, once. Logs one
+    training images. At epoch ``decay_epoch_maen`` the optimizer ``decayed``
+    (stage 1's) divides its learning rate by ``decay_factor``, once. Logs one
     ``LOG_LINE`` per epoch: the weighted mean loss and the accuracy."""
     ad.enable_buffer_reuse()
     tc = config.train
     number = ("maen", "rpn", "heads").index(stage) + 1
     rng_shuffle = _rng(config, (_S_SHUFFLE_MAEN, _S_SHUFFLE_RPN, _S_SHUFFLE_HEADS)[number - 1])
     for epoch in range(getattr(tc, f"epochs_{stage}")):
-        if epoch == getattr(tc, f"decay_epoch_{stage}"):
-            for opt in opts:
-                opt.learning_rate = opt.learning_rate / tc.decay_factor
+        if decayed is not None and epoch == tc.decay_epoch_maen:
+            decayed.learning_rate = decayed.learning_rate / tc.decay_factor
         loss_sum = 0.0
         weight = correct = counted = 0
         for loss, w, c, k in steps(rng_shuffle.permutation(n)):
@@ -177,7 +176,7 @@ def train_maen(view, config: RunConfig, log_fn=None) -> bb.Checkpoint:
             yield _maen_step(params, opt, np.stack([view.images[i] for i in idx]),
                              view.labels[idx], bc)
 
-    _epochs("maen", config, [opt], steps, len(view), log_fn)
+    _epochs("maen", config, steps, len(view), log_fn, decayed=opt)
     return bb.params_to_checkpoint(params, "maen")
 
 
@@ -199,7 +198,7 @@ def train_rpn(view, config: RunConfig, table: list, log_fn=None) -> bb.Checkpoin
     params = rpn.init_rpn_params(bc.stage_channels[-1], ac, rng_init)
     anchors = rpn.generate_anchors(*bc.grid_size, ac)
     anchor_batches = [rpn.label_anchors(anchors, boxes, ac, rng_sample) for boxes, _ in table]
-    opt = ad.SGD(params, tc.learning_rate, tc.momentum, tc.weight_decay)
+    opt = ad.SGD(params, tc.learning_rate / tc.decay_factor, tc.momentum, tc.weight_decay)
 
     def steps(perm):
         for i in perm:
@@ -207,7 +206,7 @@ def train_rpn(view, config: RunConfig, table: list, log_fn=None) -> bb.Checkpoin
             batch.sampled = rpn.sample_for_loss(batch.labels, ac, rng_sample)
             yield _rpn_step(params, opt, table[i][1], batch, ac)
 
-    _epochs("rpn", config, [opt], steps, len(view), log_fn)
+    _epochs("rpn", config, steps, len(view), log_fn)
     return bb.params_to_checkpoint(params, "dln")
 
 
@@ -222,7 +221,7 @@ def train_heads(view, config: RunConfig, table: list, dln_ckpt: bb.Checkpoint,
                            rpn.generate_anchors(*bc.grid_size, ac), config)
     params = {level: hd.init_head_params(hc, bc.stage_channels[-1], rng_init)
               for level in bc.tap_levels}
-    opts = {level: ad.SGD(p, tc.learning_rate, tc.momentum, tc.weight_decay)
+    opts = {level: ad.SGD(p, tc.learning_rate / tc.decay_factor, tc.momentum, tc.weight_decay)
             for level, p in params.items()}
     stride = bc.tap_stride("late")
 
@@ -235,7 +234,7 @@ def train_heads(view, config: RunConfig, table: list, dln_ckpt: bb.Checkpoint,
                 pooled = hd.roi_pool_batch(late[0], rois, stride, hc.roi_out)
                 yield _head_step(params[level], opts[level], pooled, cls_t, delta_t, fg, hc)
 
-    _epochs("heads", config, opts.values(), steps, len(view), log_fn)
+    _epochs("heads", config, steps, len(view), log_fn)
     return {level: bb.params_to_checkpoint(params[level], f"head.{level}")
             for level in bc.tap_levels}
 

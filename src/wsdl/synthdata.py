@@ -41,6 +41,9 @@ _DEFAULT_GLYPHS = (
 )
 # class label -> its [5,5] bool pattern; generate_dataset renders at most this many classes
 GLYPHS = tuple(np.array([[c == "1" for c in row] for row in s.split()]) for s in _DEFAULT_GLYPHS)
+OBJECT_FRACTION = (0.3, 0.6)  # object diameter as a fraction of the image side
+CLUTTER_SHAPES = 6            # clutter shapes per image
+NOISE_SPAN = 5                # uniform +/- pixel noise on non-glyph content
 
 
 @dataclass
@@ -49,25 +52,17 @@ class GenConfig:
     train_count: int = 800
     test_count: int = 200
     image_size: tuple = (64, 64)
-    object_fraction: tuple = (0.3, 0.6)  # object diameter as a fraction of the image
-    clutter_density: int = 6             # clutter shapes per image
-    noise_span: int = 5                  # uniform +/- pixel noise on non-glyph content
     seed: int = 7
 
     def __post_init__(self):
         self.image_size = tuple(self.image_size)
-        self.object_fraction = tuple(self.object_fraction)
         check_ranges(self)
-        # _render_sample draws each half-axis a from object_fraction of half the side,
-        # at least GLYPH_HALF * 1.7, then its centre from uniform(a + 1, side - a - 1)
+        # _render_sample draws each half-axis a from OBJECT_FRACTION of half the side,
+        # at least GLYPH_HALF * 1.7, then its centre from uniform(a + 1, side - a - 1);
+        # 2 a + 2 <= side holds for every side >= least (0.6 side + 2 <= side from 5 on)
         least = 2 * (GLYPH_HALF * 1.7 + 1)
         if len(self.image_size) != 2 or min(self.image_size) < least:
             raise ValueError(f"image_size must be two sides, each >= {least:g}, got {self.image_size}")
-        frac = self.object_fraction
-        if (len(frac) != 2 or not frac[0] <= frac[1]
-                or any(s - frac[1] * s / 2.0 - 1 < frac[1] * s / 2.0 + 1 for s in self.image_size)):
-            raise ValueError(f"object_fraction must be lo,hi with 0 <= lo <= hi <= 1 - 2 / side "
-                             f"for image_size {self.image_size}, got {frac}")
 
 
 @dataclass
@@ -109,7 +104,7 @@ def _render_sample(rng: np.random.Generator, label: int, config: GenConfig):
     img = np.empty((h, w, 3), dtype=np.uint8)
     img[:, :] = rng.integers(70, 200, size=3)
 
-    for _ in range(config.clutter_density):
+    for _ in range(CLUTTER_SHAPES):
         color = rng.integers(70, 230, size=3)
         if rng.random() < 0.5:
             x0, y0 = rng.integers(0, w - 4), rng.integers(0, h - 4)
@@ -118,7 +113,7 @@ def _render_sample(rng: np.random.Generator, label: int, config: GenConfig):
             _draw_ellipse(img, rng.uniform(0, w), rng.uniform(0, h),
                           rng.uniform(2, 8), rng.uniform(2, 8), color)
 
-    lo, hi = config.object_fraction
+    lo, hi = OBJECT_FRACTION
     a = rng.uniform(lo, hi) * w / 2.0
     b = rng.uniform(lo, hi) * h / 2.0
     a = max(a, GLYPH_HALF * 1.7)
@@ -128,7 +123,7 @@ def _render_sample(rng: np.random.Generator, label: int, config: GenConfig):
     obj_color = rng.integers(70, 220, size=3)
     obj_mask = _draw_ellipse(img, cx, cy, a, b, obj_color)
 
-    noise = rng.integers(-config.noise_span, config.noise_span + 1, size=img.shape)
+    noise = rng.integers(-NOISE_SPAN, NOISE_SPAN + 1, size=img.shape)
     img = np.clip(img.astype(np.int16) + noise, 45, 255).astype(np.uint8)
 
     # glyph center such that the whole stamp square sits inside the ellipse
@@ -227,27 +222,37 @@ def generate_dataset(config: GenConfig, out_dir):
 # loading
 
 
-def load_labels(split_dir) -> list:
-    path = os.path.join(split_dir, "labels.tsv")
-    out = {}
+def _rows(split_dir, table: str):
+    """(``path:line``, file name, the other fields) of each non-blank line of
+    ``<split_dir>/<table>.tsv``; a file named twice raises, naming the second line."""
+    path = os.path.join(split_dir, f"{table}.tsv")
+    seen = set()
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                try:
-                    name, label = line.rstrip("\n").split("\t")
-                    cls = int(label)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: malformed label line") from exc
-                if cls < 0:
-                    raise ValueError(f"{path}:{line_no}: negative class label {label}")
-                if name in out:
+                name, *fields = line.rstrip("\n").split("\t")
+                if name in seen:
                     raise ValueError(f"{path}:{line_no}: repeated file {name}")
-                out[name] = cls
+                seen.add(name)
+                yield f"{path}:{line_no}", name, fields
     except FileNotFoundError as exc:
-        raise FileNotFoundError(f"missing labels file: {path}") from exc
-    return list(out.items())
+        raise FileNotFoundError(f"missing {table} file: {path}") from exc
+
+
+def load_labels(split_dir) -> list:
+    out = []
+    for where, name, fields in _rows(split_dir, "labels"):
+        try:
+            (label,) = fields
+            cls = int(label)
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed label line") from exc
+        if cls < 0:
+            raise ValueError(f"{where}: negative class label {label}")
+        out.append((name, cls))
+    return out
 
 
 @dataclass(eq=False)
@@ -292,22 +297,13 @@ class TrainView:
 
 def load_annotations(split_dir) -> dict:
     """Evaluation-only annotations: filename -> EvalAnnotations."""
-    path = os.path.join(split_dir, "annotations.tsv")
     out = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    name, coords, pts = line.rstrip("\n").split("\t")
-                    x0, y0, x1, y1 = (float(v) for v in coords.split(" "))
-                    parts = tuple(
-                        tuple(float(v) for v in pt.split(",")) for pt in pts.split(";")
-                    )
-                    out[name] = EvalAnnotations(Box(x0, y0, x1, y1), parts)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: malformed annotation line") from exc
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(f"missing annotations file: {path}") from exc
+    for where, name, fields in _rows(split_dir, "annotations"):
+        try:
+            coords, pts = fields
+            x0, y0, x1, y1 = (float(v) for v in coords.split(" "))
+            parts = tuple(tuple(float(v) for v in pt.split(",")) for pt in pts.split(";"))
+            out[name] = EvalAnnotations(Box(x0, y0, x1, y1), parts)
+        except ValueError as exc:
+            raise ValueError(f"{where}: malformed annotation line") from exc
     return out

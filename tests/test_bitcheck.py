@@ -21,7 +21,7 @@ def test_a_checkout_is_bit_identical_to_itself():
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
-        "bit-identical: 67 entries (1 model_digest, 3 log stage=1, 8 log stage=2, "
+        "bit-identical: 71 entries (4 dataset, 1 model_digest, 3 log stage=1, 8 log stage=2, "
         "2 log stage=3, 1 checkpoint dln.ckpt, 1 checkpoint head_cam.ckpt, "
         "1 checkpoint head_late.ckpt, 1 checkpoint maen.ckpt, 1 evaluate_model, 12 infer, ")
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wsdl import backbone as bb
+from wsdl import evaluate as ev
 from wsdl import pipeline as pl
 from wsdl import synthdata as sd
 from wsdl.cli import run
@@ -87,7 +88,7 @@ def test_train_outputs(cli_pipeline):
 def test_staged_training_matches_single_run(cli_pipeline, tmp_path, cli_cfg):
     _, data, model = cli_pipeline
     staged = tmp_path / "staged"
-    for stage in ("maen", "rpn", "heads"):
+    for stage in ("all", "rpn", "heads"):
         assert run(["train", "--data", str(data), "--out", str(staged), "--seed", "13",
                     "--config", str(cli_cfg), "--stage", stage]) == 0
     for name in ("maen.ckpt", "dln.ckpt", "head_late.ckpt", "head_cam.ckpt"):
@@ -171,12 +172,12 @@ def test_train_log_describes_the_model_in_its_directory(cli_pipeline, tmp_path, 
     assert (tmp_path / "rpn" / "train_log.txt").read_text().splitlines() == stage1 + printed
 
 
-def test_stage_maen_into_an_empty_directory_trains_a_whole_model(cli_pipeline, tmp_path,
-                                                                cli_cfg):
+def test_train_into_an_empty_directory_trains_a_whole_model(cli_pipeline, tmp_path, cli_cfg):
+    # without --stage: the default trains all three stages, as --stage all did
     _, data, model = cli_pipeline
     out = tmp_path / "fresh"
     assert run(["train", "--data", str(data), "--out", str(out), "--seed", "13",
-                "--config", str(cli_cfg), "--stage", "maen"]) == 0
+                "--config", str(cli_cfg)]) == 0
     assert _dir_digest(out) == _dir_digest(model)
     assert run(["eval", "--data", str(data), "--model", str(out),
                 "--out", str(tmp_path / "rep")]) == 0
@@ -233,10 +234,34 @@ def test_infer_names_the_file_of_a_wrong_size_image(cli_pipeline, tmp_path, caps
     assert f"{small}: image extent (32, 32) does not match config (64, 64)" in err
 
 
-def test_bench_rejects_zero_repeats(cli_pipeline, capsys):
+def test_bench_prints_both_modes_and_their_ratio(cli_pipeline, monkeypatch, capsys):
     _, data, model = cli_pipeline
-    assert run(["bench", "--data", str(data), "--model", str(model), "--repeats", "0"]) == 2
-    assert "error: bench needs repeats >= 1, got 0" in capsys.readouterr().err
+    calls = []
+
+    def fake_bench(model, images, mode, **kwargs):
+        calls.append((mode, len(images), kwargs))
+        return {"shared": 30.0, "separate": 12.0}[mode]
+
+    monkeypatch.setattr(ev, "bench", fake_bench)
+    capsys.readouterr()
+    assert run(["bench", "--data", str(data), "--model", str(model)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ratio": 2.5, "separate": 12.0, "shared": 30.0}
+    # every image of the test split, at ev.bench's own number of repeats
+    assert calls == [("shared", 12, {}), ("separate", 12, {})]
+
+
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    bench = ["bench", "--data", data, "--model", model]
+    for command, error in [
+        (["train", "--data", data, "--out", model, "--stage", "maen"],
+         "argument --stage: invalid choice: 'maen'"),
+        (bench + ["--mode", "both"], "unrecognized arguments: --mode both"),
+        (bench + ["--repeats", "5"], "unrecognized arguments: --repeats 5"),
+    ]:
+        assert run(command) == 1, command
+        assert error in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
 
 
 def test_exit_codes(cli_pipeline, tmp_path):

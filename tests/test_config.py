@@ -2,19 +2,22 @@ import re
 
 import pytest
 
+from wsdl import pipeline as pl
 from wsdl.config import RANGES, RunConfig, TrainConfig, _inside, load_run_config
 
 # every key of a saved configuration; input_size and stride are derived, and two
-# convs per stage is fixed, not keys
+# convs per stage and the renderer's look are fixed, not keys
 KEYS = [
-    "anchors_per_image_sampled", "batch_maen", "cam_channels", "clutter_density",
-    "decay_epoch_heads", "decay_epoch_maen", "decay_epoch_rpn", "decay_factor",
-    "epochs_heads", "epochs_maen", "epochs_rpn", "fg_fraction", "fg_iou", "hidden",
-    "image_size", "learning_rate", "loss_balance", "momentum", "neg_iou", "nms_iou",
-    "noise_span", "num_classes", "object_fraction", "pos_iou", "post_nms_top",
-    "pre_nms_top", "ratios", "roi_out", "rois_per_image", "rpn_channels", "scales", "seed",
-    "stage_channels", "tap_levels", "test_count", "train_count", "weight_decay",
+    "anchors_per_image_sampled", "batch_maen", "cam_channels", "decay_epoch_maen",
+    "decay_factor", "epochs_heads", "epochs_maen", "epochs_rpn", "fg_fraction", "fg_iou",
+    "hidden", "image_size", "learning_rate", "loss_balance", "momentum", "neg_iou", "nms_iou",
+    "num_classes", "pos_iou", "post_nms_top", "pre_nms_top", "ratios", "roi_out",
+    "rois_per_image", "rpn_channels", "scales", "seed", "stage_channels", "tap_levels",
+    "test_count", "train_count", "weight_decay",
 ]
+# keys that one value served and that became constants, each at that value
+REMOVED = [("clutter_density", "6"), ("decay_epoch_heads", "0"), ("decay_epoch_rpn", "0"),
+           ("noise_span", "5"), ("object_fraction", "0.3,0.6")]
 
 
 def test_set_key_updates_every_holder():
@@ -57,7 +60,7 @@ def test_text_roundtrip(tmp_path):
     again = load_run_config(path)
     assert again.to_lines() == cfg.to_lines()
     assert [line.split(" = ")[0] for line in cfg.to_lines().splitlines()] == KEYS
-    assert sorted(RunConfig.default().schema()) == KEYS and len(KEYS) == 37
+    assert sorted(RunConfig.default().schema()) == KEYS and len(KEYS) == 32
     assert again.gen.train_count == 120
     assert again.backbone.num_classes == 4
 
@@ -88,8 +91,7 @@ def test_apply_text_rejects_non_finite_floats(key, raw):
         cfg.apply_text(f"seed = 3\n{key} = {raw}\n", source="cfg")
 
 
-@pytest.mark.parametrize("key, raw", [("scales", "nan,32,48"), ("ratios", "0.5,1,inf"),
-                                      ("object_fraction", "0.1,nan")])
+@pytest.mark.parametrize("key, raw", [("scales", "nan,32,48"), ("ratios", "0.5,1,inf")])
 def test_apply_text_rejects_non_finite_tuple_elements(key, raw):
     cfg = RunConfig.default()
     error = f"cfg:1: bad value for '{key}': expected a finite number"
@@ -142,7 +144,7 @@ def test_sync_derived_follows_backbone(tmp_path):
 
 @pytest.mark.parametrize("key, raw", [
     ("input_size", "32,32"), ("input_size", "64,64"), ("stride", "4"), ("stride", "8"),
-    ("convs_per_stage", "2"),
+    ("convs_per_stage", "2"), *REMOVED,
 ])
 def test_derived_key_is_rejected_as_unknown(tmp_path, key, raw):
     # even the value the derivation gives (two convs per stage is fixed): a derived
@@ -153,6 +155,17 @@ def test_derived_key_is_rejected_as_unknown(tmp_path, key, raw):
         load_run_config(path)
 
 
+@pytest.mark.parametrize("key, raw", REMOVED)
+def test_a_saved_model_that_lists_a_removed_key_is_rejected(tmp_path, key, raw):
+    # a model saved while the key existed lists it, in sorted order; it must be retrained
+    lines = sorted(RunConfig.default().to_lines().splitlines() + [f"{key} = {raw}"])
+    path = tmp_path / "model_config.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    where = f"{path}:{lines.index(f'{key} = {raw}') + 1}"
+    with pytest.raises(KeyError, match=re.escape(f"{where}: unknown configuration key: '{key}'")):
+        pl.load_model(tmp_path)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -160,7 +173,7 @@ def test_train_config_validation():
         TrainConfig(epochs_rpn=0)
 
 
-@pytest.mark.parametrize("key", ["decay_epoch_maen", "decay_epoch_rpn", "decay_epoch_heads"])
+@pytest.mark.parametrize("key", ["decay_epoch_maen"])
 def test_negative_decay_epoch_rejected(key):
     cfg = RunConfig.default()
     cfg.set_key(key, "-3")

@@ -1,6 +1,11 @@
+import os
+import re
+import shutil
+
 import numpy as np
 import pytest
 
+from wsdl import attention as att
 from wsdl import evaluate as ev
 from wsdl import rpn
 from wsdl.attention import Box
@@ -131,3 +136,19 @@ def test_bench_rejects_no_repeats_before_warm_up():
     for repeats in (0, -1):
         with pytest.raises(ValueError, match="repeats"):
             ev.bench(None, [np.zeros((3, 64, 64))] * 100, "shared", repeats=repeats)
+
+
+def test_evaluate_model_names_a_test_image_without_annotation(tiny_setup, tmp_path, monkeypatch):
+    # a bare KeyError before, after the whole inference pass
+    test_dir = tmp_path / "test"
+    shutil.copytree(os.path.join(tiny_setup.data, "test"), test_dir)
+    annotations = test_dir / "annotations.tsv"
+    annotations.write_text("".join(annotations.read_text().splitlines(keepends=True)[1:]))
+
+    def no_inference(*args):
+        raise AssertionError("inference ran")
+
+    monkeypatch.setattr(att, "pseudo_boxes_batch", no_inference)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(annotations))}: no annotation for "
+                                         r"img_00000\.ppm$"):
+        ev.evaluate_model(tiny_setup.model, test_dir)

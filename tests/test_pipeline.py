@@ -108,10 +108,10 @@ def test_batches_slice_each_batch_as_it_is_reached():
 
 
 def test_each_stage_decays_its_learning_rate_once(tmp_path, monkeypatch):
-    # three epochs, so that a second decay at epoch 2 would show
+    # stage 1 at decay_epoch_maen, over three epochs so that a second decay at epoch 2
+    # would show; stages 2 and 3 run at the decayed rate from their first step
     cfg = tiny_config(train_count=20, test_count=4, epochs_maen=3, epochs_rpn=3,
-                      epochs_heads=3, decay_epoch_maen=1, decay_epoch_rpn=1,
-                      decay_epoch_heads=1)
+                      epochs_heads=3, decay_epoch_maen=1)
     sd.generate_dataset(cfg.gen, tmp_path)
     view = sd.TrainView(os.path.join(tmp_path, "train"))
     rates = {}  # optimizer -> the learning rate of each of its steps
@@ -128,8 +128,9 @@ def test_each_stage_decays_its_learning_rate_once(tmp_path, monkeypatch):
     steps_per_epoch = [math.ceil(n / tc.batch_maen), n] + [n] * len(cfg.backbone.tap_levels)
     decayed = tc.learning_rate / tc.decay_factor
     assert [len(r) for r in rates.values()] == [3 * k for k in steps_per_epoch]
-    for r, k in zip(rates.values(), steps_per_epoch):
-        assert r == [tc.learning_rate] * k + [decayed] * (2 * k)
+    maen, *later = rates.values()
+    assert maen == [tc.learning_rate] * steps_per_epoch[0] + [decayed] * (2 * steps_per_epoch[0])
+    assert all(r == [decayed] * len(r) for r in later)
 
 
 def test_stage3_proposals_equal_per_image_propose(tiny_setup, monkeypatch):

@@ -10,19 +10,20 @@ thread unless the environment sets the count. Each takes the training schedule
 ``perfbench/workloads.py``. The process writes a dump that maps entry names
 to SHA-256 digests:
 
-- per training seed (``--seeds`` and ``--eval-seeds``): ``model_digest``,
-  every training log line, named with its ``stage=K``, and the bytes of every
-  checkpoint file. ``model_config.txt`` is left out, since it lists the
-  configuration keys;
-- per test split (an eval seed's split of each ``--test-counts`` size) and
-  per model of an eval seed: the ``ev.evaluate_model`` report JSON, and per
-  image ``pl.infer``, ``pl.infer_separate`` and ``pl.maen_pseudo_box`` at
-  every level.
+- per training seed (``--seeds`` and ``--eval-seeds``): each split directory
+  that ``sd.generate_dataset`` wrote (its files' names and bytes, in sorted
+  order), ``model_digest``, every training log line, named with its
+  ``stage=K``, and the bytes of every checkpoint file. ``model_config.txt`` is
+  left out, since it lists the configuration keys;
+- per test split (an eval seed's split of each ``--test-counts`` size): each
+  split directory written, as above; and per model of an eval seed: the
+  ``ev.evaluate_model`` report JSON, and per image ``pl.infer``,
+  ``pl.infer_separate`` and ``pl.maen_pseudo_box`` at every level.
 
 It prints ``bit-identical`` and exits 0 when both dumps hold the same
 entries with the same digests. Otherwise it exits 1: it names the first
 entry that differs or that only one side holds, then prints one line per
-entry kind (``model_digest``, ``log stage=K`` per training stage,
+entry kind (``dataset``, ``model_digest``, ``log stage=K`` per training stage,
 ``checkpoint FILE`` per checkpoint file, ``evaluate_model``, ``infer``,
 ``infer_separate``, ``maen_pseudo_box``) with how many entries are equal and
 how many differ, so that a change which moves some outputs (say, only stage
@@ -83,6 +84,19 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
+def _dataset(entries: dict, where: str, data: str):
+    """One ``dataset`` entry per split directory of ``data``: SHA-256 over each
+    file's name and bytes, in sorted order."""
+    for split in sorted(os.listdir(data)):
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(os.path.join(data, split))):
+            with open(os.path.join(data, split, name), "rb") as fh:
+                raw = fh.read()
+            h.update(f"{name!r};{len(raw)};".encode())
+            h.update(raw)
+        entries[f"{where}: dataset {split}"] = h.hexdigest()
+
+
 def _prediction(pred) -> str:
     parts = [pred.predicted_class, np.asarray(pred.fused), np.asarray(pred.full_image_scores)]
     for level, lp in pred.per_level.items():
@@ -107,6 +121,7 @@ def dump(checkout: str, args, work: str) -> dict:
         cfg = workloads.run_config(seed)
         data, model_dir = os.path.join(work, f"data-{seed}"), os.path.join(work, f"model-{seed}")
         sd.generate_dataset(cfg.gen, data)
+        _dataset(entries, f"seed {seed}", data)
         log = []
         model = pl.train_stagewise(sd.TrainView(os.path.join(data, "train")), cfg, log.append)
         pl.save_model(model, model_dir)
@@ -123,6 +138,7 @@ def dump(checkout: str, args, work: str) -> dict:
         for count in args.test_counts:
             data = os.path.join(work, f"test-{seed}-{count}")
             sd.generate_dataset(workloads.run_config(seed, count).gen, data)
+            _dataset(entries, f"split {seed}/{count}", data)
             test_dir = os.path.join(data, "test")
             view = sd.TrainView(test_dir)
             for model_seed in args.eval_seeds:
